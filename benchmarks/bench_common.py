@@ -14,7 +14,6 @@ top-level module name ``conftest`` unambiguously resolves to
 Environment knobs:
 
 - ``REPRO_BENCH_SCALE=small`` keeps every bench under ~1 min;
-- ``REPRO_BENCH_WORKERS=N`` runs the engine's sharded-frontier mode;
 - ``REPRO_BENCH_REPORT`` redirects the rendered tables.
 """
 
@@ -26,9 +25,6 @@ from repro.zookeeper.specs import SELECTIONS, build_spec
 
 #: Scale knob: REPRO_BENCH_SCALE=small keeps every bench under ~1 min.
 SCALE = os.environ.get("REPRO_BENCH_SCALE", "normal")
-
-#: Worker processes for the exploration engine (1 = in-process).
-WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "1"))
 
 
 def bench_config(**kw):
@@ -53,9 +49,7 @@ def hunt(
     stop_at_first=True,
     violation_limit=10_000,
     strategy="bfs",
-    workers=None,
     incremental=True,
-    dedupe="rounds",
     compile_mode="auto",
 ):
     """One model-checking run, optionally restricted to an invariant
@@ -79,14 +73,12 @@ def hunt(
     engine = ExplorationEngine(
         spec,
         strategy=strategy,
-        workers=WORKERS if workers is None else workers,
         max_states=max_states,
         max_time=max_time,
         mask=zk4394_mask if masked else None,
         stop_at_first=stop_at_first,
         violation_limit=violation_limit,
         incremental=incremental,
-        dedupe=dedupe,
         compile_mode=compile_mode,
     )
     return engine.run()

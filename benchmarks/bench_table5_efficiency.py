@@ -157,7 +157,7 @@ def _smoke_row(result):
     }
 
 
-def run_smoke(max_states, max_time, workers, strategy, compare_legacy, dedupe="rounds"):
+def run_smoke(max_states, max_time, compare_legacy):
     """Run the five Table 5 specs under a small budget; return a report."""
     from repro.checker.legacy import LegacyBFSChecker
     from repro.zookeeper import zk4394_mask
@@ -168,9 +168,6 @@ def run_smoke(max_states, max_time, workers, strategy, compare_legacy, dedupe="r
         "workload": {
             "max_states": max_states,
             "max_time": max_time,
-            "workers": workers,
-            "strategy": strategy,
-            "dedupe": dedupe,
         },
         "specs": {},
     }
@@ -181,9 +178,6 @@ def run_smoke(max_states, max_time, workers, strategy, compare_legacy, dedupe="r
             masked=True,
             max_states=max_states,
             max_time=max_time,
-            workers=workers,
-            strategy=strategy,
-            dedupe=dedupe,
         )
         row = _smoke_row(result)
         if compare_legacy:
@@ -205,13 +199,12 @@ def run_smoke(max_states, max_time, workers, strategy, compare_legacy, dedupe="r
     return report
 
 
-def run_engine_trajectory(max_states, max_time, workers):
+def run_engine_trajectory(max_states, max_time):
     """The ``BENCH_engine.json`` perf-trajectory artifact.
 
     A/Bs the incremental successor path (delta fingerprints, outcome
     memoization, inherited disabled bits) against full recomputation
-    (``incremental=False``) on every Table 5 spec, sequentially and --
-    when ``workers >= 2`` -- under the sharded BFS modes.  The aggregate
+    (``incremental=False``) on every Table 5 spec.  The aggregate
     throughput ratio is the number CI's perf-smoke gate regresses
     against.
     """
@@ -221,7 +214,6 @@ def run_engine_trajectory(max_states, max_time, workers):
         "workload": {
             "max_states": max_states,
             "max_time": max_time,
-            "workers": workers,
         },
         "specs": {},
     }
@@ -231,8 +223,8 @@ def run_engine_trajectory(max_states, max_time, workers):
         # The full-recompute arm runs first so that warm OS/allocator
         # caches never bias the gated (incremental) arm downward on a
         # noisy shared runner.
-        full = hunt(name, config, workers=1, incremental=False, **budget)
-        incremental = hunt(name, config, workers=1, **budget)
+        full = hunt(name, config, incremental=False, **budget)
+        incremental = hunt(name, config, **budget)
         row = {
             "incremental": _smoke_row(incremental),
             "full_recompute": _smoke_row(full),
@@ -271,12 +263,6 @@ def run_engine_trajectory(max_states, max_time, workers):
             and full.states_explored
             else None
         )
-        if workers >= 2:
-            for mode in ("rounds", "shared"):
-                parallel = hunt(
-                    name, config, workers=workers, dedupe=mode, **budget
-                )
-                row[f"workers{workers}_{mode}"] = _smoke_row(parallel)
         report["specs"][name] = row
     inc_rate = inc_states / inc_time if inc_time > 0 else 0.0
     full_rate = full_states / full_time if full_time > 0 else 0.0
@@ -433,14 +419,6 @@ def main(argv=None):
     )
     parser.add_argument("--max-states", type=int, default=2_000)
     parser.add_argument("--max-time", type=float, default=15.0)
-    parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument(
-        "--strategy", choices=("bfs", "portfolio"), default="bfs"
-    )
-    parser.add_argument(
-        "--dedupe", choices=("rounds", "shared"), default="rounds",
-        help="cross-worker visited-set mode for the parallel runs",
-    )
     parser.add_argument("--json", dest="json_path", default=None)
     parser.add_argument(
         "--compare-legacy",
@@ -451,8 +429,7 @@ def main(argv=None):
         "--ab-incremental",
         action="store_true",
         help="emit the BENCH_engine.json perf trajectory instead: "
-        "incremental vs full-recompute A/B per spec (+ parallel modes "
-        "with --workers >= 2)",
+        "incremental vs full-recompute A/B per spec",
     )
     parser.add_argument(
         "--min-ratio",
@@ -481,18 +458,9 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
     if args.ab_incremental:
-        report = run_engine_trajectory(
-            args.max_states, args.max_time, args.workers
-        )
+        report = run_engine_trajectory(args.max_states, args.max_time)
     else:
-        report = run_smoke(
-            args.max_states,
-            args.max_time,
-            args.workers,
-            args.strategy,
-            args.compare_legacy,
-            args.dedupe,
-        )
+        report = run_smoke(args.max_states, args.max_time, args.compare_legacy)
     if args.ab_compiled:
         report["ab_compiled"] = run_ab_compiled(args.max_time)
     text = json.dumps(report, indent=2)

@@ -1,12 +1,12 @@
 """Explicit-state model checkers built on the unified exploration engine:
 BFS (the TLC substitute), DFS and iterative deepening, random walk,
-portfolio racing, coverage, shrinking and rendering."""
+coverage, shrinking and rendering.  Every exploration runs in one
+process."""
 
 from repro.checker.bfs import BFSChecker, check
 from repro.checker.coverage import CoverageReport, measure_coverage
 from repro.checker.dfs import DFSChecker, IterativeDeepeningChecker
 from repro.checker.engine import (
-    DEDUPE_MODES,
     STRATEGIES,
     CompiledSpec,
     ExplorationEngine,
@@ -18,7 +18,6 @@ from repro.checker.fingerprint import (
     IncrementalFingerprinter,
     fingerprint_state,
 )
-from repro.checker.visited import SharedVisitedSet
 from repro.checker.pretty import format_state, format_trace
 from repro.checker.random_walk import RandomWalker
 from repro.checker.result import CheckResult, Violation
@@ -35,7 +34,6 @@ __all__ = [
     "CheckResult",
     "CompiledSpec",
     "CoverageReport",
-    "DEDUPE_MODES",
     "DFSChecker",
     "ExplorationEngine",
     "Fingerprinter",
@@ -43,7 +41,6 @@ __all__ = [
     "IterativeDeepeningChecker",
     "RandomWalker",
     "STRATEGIES",
-    "SharedVisitedSet",
     "compiled_for",
     "Trace",
     "TraceOracle",

@@ -9,8 +9,7 @@ the engine refactor it is a thin compatibility wrapper over
 
 The engine deduplicates by 64-bit fingerprint instead of storing full
 :class:`~repro.tla.state.State` objects, evaluates invariants once per
-distinct state, short-circuits guards via declared read sets, and can
-shard the frontier across worker processes (``workers=N``).
+distinct state and short-circuits guards via declared read sets.
 """
 
 from __future__ import annotations
@@ -43,8 +42,6 @@ class BFSChecker:
     mask:
         Optional predicate; states where it returns True are treated as
         already-known bad states: they are neither reported nor expanded.
-    workers:
-        Worker processes for frontier sharding (1 = in-process).
     """
 
     def __init__(
@@ -56,7 +53,6 @@ class BFSChecker:
         violation_limit: int = 10_000,
         stop_at_first: bool = True,
         mask: Optional[Callable[[State], bool]] = None,
-        workers: int = 1,
     ):
         self.spec = spec
         self.max_states = max_states
@@ -65,13 +61,11 @@ class BFSChecker:
         self.violation_limit = violation_limit
         self.stop_at_first = stop_at_first
         self.mask = mask
-        self.workers = workers
 
     def run(self) -> CheckResult:
         return ExplorationEngine(
             self.spec,
             strategy="bfs",
-            workers=self.workers,
             max_states=self.max_states,
             max_time=self.max_time,
             max_depth=self.max_depth,

@@ -8,23 +8,18 @@ Strategies
 ----------
 
 ``bfs``
-    Layered (round-synchronous) breadth-first search.  The visited set
-    stores 64-bit fingerprints (:mod:`repro.checker.fingerprint`) instead
-    of full states; parent links are kept per fingerprint as compact
+    Layered breadth-first search.  The visited set stores 64-bit
+    fingerprints (:mod:`repro.checker.fingerprint`) instead of full
+    states; parent links are kept per fingerprint as compact
     ``fp -> (parent_fp, instance_index)`` integers and counterexamples are
-    rebuilt by replaying the label chain from the initial state.  With
-    ``workers > 1`` each round's frontier is sharded across forked worker
-    processes (:mod:`repro.checker.parallel`) and the newly discovered
-    fingerprints are merged between rounds; results are bitwise identical
-    to the sequential run on deterministic budgets.
+    rebuilt by replaying the label chain from the initial state.
 ``dfs``
     Bounded depth-first search for a quick first violation.
 ``random``
     Seeded random walks that check invariants along the way.
-``portfolio``
-    Races BFS against a band of differently-seeded random walks and
-    returns the first violation any of them finds (with ``workers > 1``
-    the contenders run in parallel processes).
+
+Every strategy runs in the calling process: state-space explosion is
+controlled by the grain of the specification, not by worker processes.
 
 Hot-path engineering (where the >=2x over the seed checker comes from;
 ``incremental=False`` switches the analysis-based parts off for A/B
@@ -69,7 +64,7 @@ from repro.tla.spec import Specification
 from repro.tla.state import State
 
 #: Strategy names accepted by the engine (and the CLI ``--strategy`` flag).
-STRATEGIES = ("bfs", "dfs", "random", "portfolio")
+STRATEGIES = ("bfs", "dfs", "random")
 
 #: Kernel compilation modes (``--compile``).  ``auto`` compiles specs whose
 #: declarations the static analyzer proves truthful (``repro lint`` rules
@@ -145,15 +140,8 @@ def kernel_trusted(spec: Specification) -> bool:
     spec._kernel_trusted = verdict
     return verdict
 
-#: Cross-worker dedupe modes for the parallel strategies (``--dedupe``).
-#: ``rounds`` merges visited-fingerprint sets at round barriers and is
-#: bitwise-identical to the sequential run; ``shared`` dedupes in real
-#: time through a shared-memory visited table (same visited-state count
-#: and violation set, order-insensitive).
-DEDUPE_MODES = ("rounds", "shared")
-
-#: Placeholder ``seen`` set for dedupe-off expansions (never read or
-#: written when ``dedupe=False``).
+#: Placeholder ``seen`` set for expansions with dedupe off (never read or
+#: written then).
 _UNUSED_SEEN: set = set()
 
 #: Candidate successor record produced by :meth:`CompiledSpec.expand`:
@@ -630,14 +618,14 @@ class CompiledSpec:
         ``(instance_index, state, fp, known_disabled, digests)`` for the
         chosen successor, or ``None`` in a dead end.  Shared by
         :class:`~repro.checker.random_walk.RandomWalker` and the
-        engine's ``random``/``portfolio`` strategies.
+        engine's ``random`` strategy.
         """
         if self.kernel is not None:
             batch = FrontierBatch.single(
                 state_fp, state.values, known_disabled, state_digests
             )
             ((_, _, candidates),) = self.expand_batch(
-                batch, _UNUSED_SEEN, classify_candidates=False, dedupe=False
+                batch, _UNUSED_SEEN, False, False  # no classify, no dedupe
             )
             if not candidates:
                 return None
@@ -648,7 +636,7 @@ class CompiledSpec:
             return idx, State(self.schema, svt), fp, known, digests
         _, candidates = self.expand(
             state, known_disabled, _UNUSED_SEEN, state_fp, state_digests,
-            classify_candidates=False, dedupe=False,
+            False, False,  # no classify, no dedupe
         )
         if not candidates:
             return None
@@ -694,9 +682,10 @@ class CompiledSpec:
         fingerprint set; candidate fingerprints are added to it so the
         same successor is emitted at most once per expansion context (the
         merge step performs the authoritative cross-context dedup).
-        ``dedupe=False`` skips that filter and emits every state-changing
-        successor exactly in instance order -- the random walkers use it
-        to draw from the full successor distribution.
+        With ``dedupe`` off that filter is skipped and every
+        state-changing successor is emitted exactly in instance order --
+        the random walkers use it to draw from the full successor
+        distribution.
         ``state_fp``/``state_digests`` are the parent's fingerprint and
         per-slot digests: each successor fingerprint costs one digest
         lookup per *changed* slot (``fp ^ old_digest ^ new_digest``), and
@@ -1149,34 +1138,21 @@ class ExplorationEngine:
     spec:
         The specification to check.
     strategy:
-        One of ``"bfs"``, ``"dfs"``, ``"random"``, ``"portfolio"``.
+        One of ``"bfs"``, ``"dfs"``, ``"random"``.
     workers:
-        Number of worker processes for the parallel BFS / portfolio
-        modes.  ``1`` runs in-process; higher values require the
-        ``fork`` start method (engine falls back to 1 otherwise).
+        Must be ``1``: every strategy runs in the calling process.  The
+        keyword remains for callers that pass it explicitly.
     max_states / max_time / max_depth / violation_limit / stop_at_first /
     mask:
         The familiar budgets, with the seed checker's semantics.
     seed:
-        Seed for the random and portfolio strategies.
+        Seed for the random strategy.
     fingerprinter:
         Override the 64-bit default (tests use narrow widths to force
         collisions).
     incremental:
         Enable the declared-reads guard short-circuiting (on by default;
         switch off to force full guard re-evaluation on every state).
-    dedupe:
-        Cross-worker visited-set mode for the parallel strategies.
-        ``"rounds"`` (default) merges fingerprint sets at round barriers
-        and is bitwise-identical to the sequential run; ``"shared"``
-        dedupes through a shared-memory visited table in real time --
-        the same visited-state count at fixed budgets and the same
-        violation set on any run the budget does not truncate mid-round
-        (at an exact mid-round ``max_states`` cut, which of the round's
-        equal-count candidates fall inside the budget is race-dependent,
-        as is the reported counterexample's parent chain).  ``"shared"``
-        also unlocks sharded parallel DFS and the portfolio's shared
-        visited accounting.
     debug:
         Cross-check every memoized/inherited action outcome against a
         fresh evaluation and validate update dicts against the declared
@@ -1205,7 +1181,6 @@ class ExplorationEngine:
         seed: int = 0,
         fingerprinter: Optional[Fingerprinter] = None,
         incremental: bool = True,
-        dedupe: str = "rounds",
         debug: bool = False,
         compile_mode: str = "auto",
     ):
@@ -1213,9 +1188,9 @@ class ExplorationEngine:
             raise ValueError(
                 f"unknown strategy {strategy!r}; options: {list(STRATEGIES)}"
             )
-        if dedupe not in DEDUPE_MODES:
+        if workers != 1:
             raise ValueError(
-                f"unknown dedupe mode {dedupe!r}; options: {list(DEDUPE_MODES)}"
+                f"workers={workers!r}: exploration runs in one process"
             )
         if compile_mode not in COMPILE_MODES:
             raise ValueError(
@@ -1223,7 +1198,6 @@ class ExplorationEngine:
             )
         self.spec = spec
         self.strategy = strategy
-        self.workers = max(1, int(workers))
         self.max_states = max_states
         self.max_time = max_time
         self.max_depth = max_depth
@@ -1233,37 +1207,22 @@ class ExplorationEngine:
         self.seed = seed
         self.fingerprinter = fingerprinter
         self.incremental = incremental
-        self.dedupe = dedupe
         self.debug = debug
         self.compile_mode = compile_mode
         #: The compiled core of the last run (memo/kernel telemetry for
-        #: ``--stats``); ``None`` until a strategy has run in-process.
+        #: ``--stats``); ``None`` until a strategy has run.
         self.core: Optional[CompiledSpec] = None
 
     def run(self) -> CheckResult:
         was_collecting = gc.isenabled()
         gc.disable()
-        table = None
-        names = getattr(self, "_shared_visited", None)
-        if names:
-            # A portfolio parent handed this contender a shared visited
-            # table; attach it for the duration of the run.
-            from repro.checker import visited
-
-            table = visited.SharedVisitedSet.attach(names)
-        self._visited_table = table
         try:
             if self.strategy == "bfs":
                 return self._run_bfs()
             if self.strategy == "dfs":
                 return self._run_dfs()
-            if self.strategy == "random":
-                return self._run_random()
-            return self._run_portfolio()
+            return self._run_random()
         finally:
-            if table is not None:
-                table.close()
-            self._visited_table = None
             if was_collecting:
                 gc.enable()
 
@@ -1318,14 +1277,9 @@ class ExplorationEngine:
                     return True
             return False
 
-        # A portfolio parent's shared table (publish accepted states so
-        # the walker band steers away from BFS-covered territory).
-        publish = getattr(self, "_visited_table", None)
-
         # Round 0: the initial states.
         # Frontier entries: (fp, payload, known_disabled, slot_digests).
         frontier: List[Tuple[int, Any, int, Tuple[int, ...]]] = []
-        delta: List[int] = []
         for init in spec.initial_states():
             fp, digests = core.fingerprinter.of_values_with_digests(init.values)
             if fp in parent_link:
@@ -1333,9 +1287,6 @@ class ExplorationEngine:
             parent_link[fp] = None
             init_by_fp[fp] = init
             seen.add(fp)
-            if publish is not None:
-                publish.add(fp)
-            delta.append(fp)
             viols, masked, ok = core.classify(init)
             if masked:
                 continue
@@ -1353,133 +1304,82 @@ class ExplorationEngine:
             result.budget_exhausted = "max_states"
             stop = True
 
-        pool = None
-        shared_table = None
-        if self.workers > 1 and frontier and not stop:
-            from repro.checker import parallel
-
-            if parallel.available():
-                if self.dedupe == "shared":
-                    from repro.checker import visited
-
-                    if visited.available():
-                        shared_table = visited.SharedVisitedSet(
-                            visited.suggest_capacity(self.max_states)
-                        )
-                        for known_fp in parent_link:
-                            shared_table.add(known_fp)
-                pool = parallel.WorkerPool(core, self.workers)
-
         depth = 0
-        try:
-            while frontier and not stop and result.budget_exhausted is None:
+        while frontier and not stop and result.budget_exhausted is None:
+            if (
+                self.max_time is not None
+                and time.monotonic() - start >= self.max_time
+            ):
+                result.budget_exhausted = "max_time"
+                break
+
+            if core.kernel is not None:
+                # Compiled path: sweep the round in fixed-size batches.
+                # Candidate payloads come back as raw value tuples;
+                # the merge loop below is payload-agnostic and traces
+                # replay from labels, so States are never built for
+                # states that only transit the frontier.  Chunking keeps
+                # the lazy budget semantics of the sequential path: when
+                # the merge loop stops mid-round (max_states, max_time,
+                # violation), unexpanded chunks are never swept, so
+                # compiled and interpreted runs do the same amount of
+                # work at truncated budgets.
+                def _batched(round_frontier=frontier):
+                    for lo in range(0, len(round_frontier), _KERNEL_CHUNK):
+                        yield from core.expand_batch(
+                            FrontierBatch.from_entries(
+                                round_frontier[lo : lo + _KERNEL_CHUNK]
+                            ),
+                            seen,
+                        )
+
+                results_iter = _batched()
+            else:
+                def _sequential():
+                    for fp, state, known, digests in frontier:
+                        transitions, cands = core.expand(
+                            state, known, seen, fp, digests
+                        )
+                        yield fp, transitions, cands
+
+                results_iter = _sequential()
+
+            next_frontier: List[Tuple[int, Any, int, Tuple[int, ...]]] = []
+            child_depth = depth + 1
+            expandable_depth = (
+                self.max_depth is None or child_depth < self.max_depth
+            )
+            for entry_fp, transitions, candidates in results_iter:
+                if stop or result.budget_exhausted is not None:
+                    break
                 if (
                     self.max_time is not None
                     and time.monotonic() - start >= self.max_time
                 ):
                     result.budget_exhausted = "max_time"
                     break
-
-                if pool is not None:
-                    # Frontier payloads are State objects in round 1
-                    # (the initial states) and raw value tuples after.
-                    payload_frontier = [
-                        (
-                            fp,
-                            payload.values if isinstance(payload, State) else payload,
-                            known,
-                            digests,
-                        )
-                        for fp, payload, known, digests in frontier
-                    ]
-                    if shared_table is not None:
-                        # Real-time dedupe: workers consult the shared
-                        # table instead of replaying the delta, and the
-                        # parent grows it between rounds.
-                        if shared_table.should_grow(len(parent_link)):
-                            shared_table.grow(len(parent_link))
-                        rounds = pool.round(
-                            [], payload_frontier, shared_table.descriptors()
-                        )
-                    else:
-                        rounds = pool.round(delta, payload_frontier)
-                    results_iter = iter(rounds)
-                elif core.kernel is not None:
-                    # Compiled path: sweep the round in fixed-size batches.
-                    # Candidate payloads come back as raw value tuples;
-                    # the merge loop below is payload-agnostic and traces
-                    # replay from labels, so States are never built for
-                    # states that only transit the frontier.  Chunking keeps
-                    # the lazy budget semantics of the sequential path: when
-                    # the merge loop stops mid-round (max_states, max_time,
-                    # violation), unexpanded chunks are never swept, so
-                    # compiled and interpreted runs do the same amount of
-                    # work at truncated budgets.
-                    def _batched(round_frontier=frontier):
-                        for lo in range(0, len(round_frontier), _KERNEL_CHUNK):
-                            yield from core.expand_batch(
-                                FrontierBatch.from_entries(
-                                    round_frontier[lo : lo + _KERNEL_CHUNK]
-                                ),
-                                seen,
-                            )
-
-                    results_iter = _batched()
-                else:
-                    def _sequential():
-                        for fp, state, known, digests in frontier:
-                            transitions, cands = core.expand(
-                                state, known, seen, fp, digests
-                            )
-                            yield fp, transitions, cands
-
-                    results_iter = _sequential()
-
-                delta = []
-                next_frontier: List[Tuple[int, Any, int, Tuple[int, ...]]] = []
-                child_depth = depth + 1
-                expandable_depth = (
-                    self.max_depth is None or child_depth < self.max_depth
-                )
-                for entry_fp, transitions, candidates in results_iter:
-                    if stop or result.budget_exhausted is not None:
-                        break
+                result.transitions += transitions
+                for idx, payload, fp, known, viols, masked, ok, digests in candidates:
+                    if fp in parent_link:
+                        continue
+                    parent_link[fp] = (entry_fp, idx)
+                    if child_depth > result.max_depth:
+                        result.max_depth = child_depth
+                    if not masked:
+                        if viols:
+                            if record(fp, viols):
+                                stop = True
+                                break
+                        elif ok and expandable_depth:
+                            next_frontier.append((fp, payload, known, digests))
                     if (
-                        self.max_time is not None
-                        and time.monotonic() - start >= self.max_time
+                        self.max_states is not None
+                        and len(parent_link) >= self.max_states
                     ):
-                        result.budget_exhausted = "max_time"
+                        result.budget_exhausted = "max_states"
                         break
-                    result.transitions += transitions
-                    for idx, payload, fp, known, viols, masked, ok, digests in candidates:
-                        if fp in parent_link:
-                            continue
-                        parent_link[fp] = (entry_fp, idx)
-                        if publish is not None:
-                            publish.add(fp)
-                        if child_depth > result.max_depth:
-                            result.max_depth = child_depth
-                        delta.append(fp)
-                        if not masked:
-                            if viols:
-                                if record(fp, viols):
-                                    stop = True
-                                    break
-                            elif ok and expandable_depth:
-                                next_frontier.append((fp, payload, known, digests))
-                        if (
-                            self.max_states is not None
-                            and len(parent_link) >= self.max_states
-                        ):
-                            result.budget_exhausted = "max_states"
-                            break
-                frontier = next_frontier
-                depth += 1
-        finally:
-            if pool is not None:
-                pool.close()
-            if shared_table is not None:
-                shared_table.close()
+            frontier = next_frontier
+            depth += 1
 
         result.states_explored = len(parent_link)
         result.elapsed_seconds = time.monotonic() - start
@@ -1491,11 +1391,6 @@ class ExplorationEngine:
     # ------------------------------------------------------------- DFS
 
     def _run_dfs(self) -> CheckResult:
-        if self.workers > 1 and self.dedupe == "shared":
-            from repro.checker import parallel, visited
-
-            if parallel.available() and visited.available():
-                return parallel.run_dfs_sharded(self)
         core = self._compile()
         spec = self.spec
         result = CheckResult(spec_name=spec.name)
@@ -1586,33 +1481,37 @@ class ExplorationEngine:
 
     # ---------------------------------------------------------- random
 
-    #: Consecutive globally-visited steps before a shared-dedupe walker
-    #: abandons a walk as covered territory (portfolio ``--dedupe
-    #: shared``).
-    WALK_STALE_LIMIT = 8
+    #: Walk cap of the ``random`` strategy when no budget bounds it: the
+    #: total number of walks without any budget, and the number of walks
+    #: in a row that find no new state when only ``max_states`` is set
+    #: (a reachable space smaller than the budget never exhausts it).
+    WALK_CAP = 1_000
 
-    def _run_random(self, rng: Optional[random.Random] = None) -> CheckResult:
+    def _run_random(self) -> CheckResult:
         core = self._compile()
         spec = self.spec
         result = CheckResult(spec_name=spec.name)
         start = time.monotonic()
-        rng = rng or random.Random(self.seed)
+        rng = random.Random(self.seed)
         max_steps = self.max_depth if self.max_depth is not None else 60
-        # Without any budget a random search would never terminate; cap
-        # the number of walks as a final backstop.
-        max_walks = None
-        if self.max_states is None and self.max_time is None:
-            max_walks = 1_000
+        # Without a time budget a random search need not terminate; cap
+        # the walks as a final backstop.
+        max_walks = max_idle_walks = None
+        if self.max_time is None:
+            if self.max_states is None:
+                max_walks = self.WALK_CAP
+            else:
+                max_idle_walks = self.WALK_CAP
         seen: set = set()
-        table = getattr(self, "_visited_table", None)
-        stale_limit = self.WALK_STALE_LIMIT
         seed_fp = core.fingerprinter.of_values_with_digests
         initials = spec.initial_states()
-        walks = 0
+        walks = idle_walks = 0
         stop = False
 
         while not stop:
-            if max_walks is not None and walks >= max_walks:
+            if (max_walks is not None and walks >= max_walks) or (
+                max_idle_walks is not None and idle_walks >= max_idle_walks
+            ):
                 result.budget_exhausted = "max_walks"
                 break
             if self.max_states is not None and len(seen) >= self.max_states:
@@ -1625,13 +1524,13 @@ class ExplorationEngine:
                 result.budget_exhausted = "max_time"
                 break
             walks += 1
+            known_states = len(seen)
             state = rng.choice(initials)
             fp, digests = seed_fp(state.values)
             known = 0
             states = [state]
             labels: List[Any] = []
             seen.add(fp)
-            stale = 0 if table is None or table.add(fp) else 1
             for _ in range(max_steps):
                 viols, masked, ok = core.classify(state)
                 if masked:
@@ -1665,158 +1564,13 @@ class ExplorationEngine:
                 seen.add(fp)
                 if len(states) - 1 > result.max_depth:
                     result.max_depth = len(states) - 1
-                if table is not None:
-                    if table.add(fp):
-                        stale = 0
-                    else:
-                        stale += 1
-                        if stale >= stale_limit:
-                            break  # the band already covered this region
+            idle_walks = idle_walks + 1 if len(seen) == known_states else 0
 
         result.states_explored = len(seen)
         result.elapsed_seconds = time.monotonic() - start
         return result
 
-    # ------------------------------------------------------- portfolio
-
-    def _spawn(self, strategy: str, seed: int, **overrides: Any) -> "ExplorationEngine":
-        """A contender engine sharing this engine's spec and budgets."""
-        kwargs = dict(
-            strategy=strategy,
-            workers=1,
-            max_states=self.max_states,
-            max_time=self.max_time,
-            max_depth=self.max_depth,
-            violation_limit=self.violation_limit,
-            stop_at_first=self.stop_at_first,
-            mask=self.mask,
-            seed=seed,
-            fingerprinter=self.fingerprinter,
-            incremental=self.incremental,
-            dedupe=self.dedupe,
-            debug=self.debug,
-            compile_mode=self.compile_mode,
-        )
-        kwargs.update(overrides)
-        return ExplorationEngine(self.spec, **kwargs)
-
-    def _run_portfolio(self) -> CheckResult:
-        """Race BFS against seeded random walks; first violation wins.
-
-        With ``workers >= 2`` the contenders run as forked processes and
-        the parent returns as soon as any of them reports a violation.
-        With one worker the contenders are time-sliced in-process:
-        alternate one BFS round with a batch of random walks.
-        """
-        if self.workers > 1:
-            from repro.checker import parallel
-
-            if parallel.available():
-                return parallel.run_portfolio(self)
-        return self._run_portfolio_interleaved()
-
-    def _run_portfolio_interleaved(self) -> CheckResult:
-        """Time-sliced in-process race: a batch of random walks, then a
-        BFS slice with a geometrically growing state budget (each slice
-        restarts BFS, so doubling bounds total re-exploration at 2x)."""
-        start = time.monotonic()
-        core = self._compile()
-        rng = random.Random(self.seed + 1)
-
-        def time_left() -> Optional[float]:
-            if self.max_time is None:
-                return None
-            return max(0.05, self.max_time - (time.monotonic() - start))
-
-        slice_states = 2_000
-        walk_seen: set = set()  # distinct walk fingerprints across batches
-        while True:
-            walk_result = self._walk_batch(core, rng, 16, time_left(), walk_seen)
-            if walk_result.found_violation:
-                walk_result.elapsed_seconds = time.monotonic() - start
-                return walk_result
-            budget = (
-                slice_states
-                if self.max_states is None
-                else min(slice_states, self.max_states)
-            )
-            bfs = self._spawn(
-                "bfs", self.seed, max_states=budget, max_time=time_left()
-            )
-            bfs_result = bfs.run()
-            bfs_result.elapsed_seconds = time.monotonic() - start
-            exhausted = (
-                self.max_states is not None
-                and bfs_result.states_explored >= self.max_states
-            )
-            if (
-                bfs_result.found_violation
-                or bfs_result.completed
-                or bfs_result.budget_exhausted in ("max_time", "violation_limit")
-                or exhausted
-            ):
-                return bfs_result
-            slice_states *= 2
-
-    def _walk_batch(
-        self,
-        core: CompiledSpec,
-        rng: random.Random,
-        count: int,
-        time_budget: Optional[float],
-        seen: set,
-    ) -> CheckResult:
-        """Run ``count`` random walks, reusing the caller's RNG stream.
-
-        ``seen`` accumulates distinct state fingerprints across batches
-        so ``states_explored`` means the same thing as in the ``random``
-        strategy (distinct states, not steps taken).
-        """
-        spec = self.spec
-        result = CheckResult(spec_name=spec.name)
-        start = time.monotonic()
-        max_steps = self.max_depth if self.max_depth is not None else 60
-        seed_fp = core.fingerprinter.of_values_with_digests
-        initials = spec.initial_states()
-        for _ in range(count):
-            if time_budget is not None and time.monotonic() - start >= time_budget:
-                break
-            state = rng.choice(initials)
-            fp, digests = seed_fp(state.values)
-            known = 0
-            states = [state]
-            labels: List[Any] = []
-            seen.add(fp)
-            for _ in range(max_steps):
-                viols, masked, ok = core.classify(state)
-                if masked:
-                    break
-                if viols:
-                    result.violations.append(
-                        Violation(
-                            invariant=core.invariants[viols[0]],
-                            trace=Trace(states=list(states), labels=list(labels)),
-                        )
-                    )
-                    result.states_explored = len(seen)
-                    return result
-                if not ok:
-                    break
-                chosen = core.step(state, fp, digests, known, rng)
-                if chosen is None:
-                    break
-                idx, nxt, fp, known, digests = chosen
-                result.transitions += 1
-                labels.append(core.labels[idx])
-                states.append(nxt)
-                state = nxt
-                seen.add(fp)
-                if len(states) - 1 > result.max_depth:
-                    result.max_depth = len(states) - 1
-        result.states_explored = len(seen)
-        return result
-
 
 def explore(spec: Specification, **kwargs: Any) -> CheckResult:
-    """Convenience wrapper: ``explore(spec, strategy=..., workers=...)``."""
+    """Convenience wrapper: ``explore(spec, strategy=..., max_states=...)``."""
     return ExplorationEngine(spec, **kwargs).run()

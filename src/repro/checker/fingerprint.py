@@ -7,9 +7,8 @@ canonical byte encoding of the state's values.
 
 Python's builtin ``hash()`` is intentionally NOT used: string hashing is
 salted per interpreter (PYTHONHASHSEED), so hashes computed in different
-worker processes would disagree and the parallel engine could never merge
-visited sets.  The canonical encoding below is stable across processes,
-runs and platforms.
+processes or runs would disagree.  The canonical encoding below is stable
+across processes, runs and platforms.
 
 Fingerprints are Zobrist-style: the state fingerprint is the XOR of one
 digest per (slot index, slot value) pair, each digest memoized per slot.

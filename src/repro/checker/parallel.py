@@ -1,51 +1,23 @@
-"""Multiprocessing back-ends for the exploration engine.
+"""The fork-based task pool behind the conformance campaign.
 
-Three cooperation patterns live here:
+:class:`TaskPool` dispatches independent tasks greedily to a fixed band
+of forked workers and merges results by task index, so the output list
+is independent of scheduling.  The conformance campaign
+(:mod:`repro.remix.campaign`) fans its (grain x scenario x fault x seed)
+matrix through it via the ``fork`` execution backend.  Model checking
+itself (``check``/``bugs``/``protocol``) always runs in one process.
 
-:class:`TaskPool`
-    A generic fork-based task pool: independent tasks are dispatched
-    greedily to a fixed band of workers and results are merged by task
-    index, so the output list is independent of scheduling.  The
-    conformance campaign (:mod:`repro.remix.campaign`) fans its
-    (grain x scenario x fault x seed) matrix through it.
-
-:class:`WorkerPool`
-    Round-synchronous frontier sharding for the BFS strategy.  Each
-    forked worker keeps a private copy of the visited-fingerprint set;
-    every round the parent sends (a) the fingerprints accepted since the
-    previous round and (b) a contiguous shard of the frontier.  Workers
-    expand their shard, pre-filter successors against their fingerprint
-    set, and classify the survivors (invariants, mask, constraint), so
-    the parent's serial merge only performs the authoritative dedup and
-    bookkeeping.  Because shards partition the frontier in order and the
-    merge consumes results in that same order, the outcome is identical
-    to the sequential engine on deterministic budgets.
-
-:func:`run_portfolio`
-    First-to-find racing for the portfolio strategy: one forked BFS
-    contender plus ``workers - 1`` differently-seeded random walkers.
-
-All require the ``fork`` start method (specifications and task closures
-hold lambdas that cannot be pickled; forked children inherit them by
-memory image).  Call :func:`available` before constructing any.
+The pool requires the ``fork`` start method (task closures hold lambdas
+that cannot be pickled; forked children inherit them by memory image).
+Call :func:`available` before constructing one.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import multiprocessing.connection as mp_connection
-import os
-import queue as pyqueue
 import time
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
-
-from repro.checker.result import CheckResult, Violation
-from repro.checker.trace import Trace
-from repro.tla.batch import FrontierBatch
-from repro.tla.state import State
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.checker.engine import CompiledSpec, ExplorationEngine
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 #: Hand-off slot for fork inheritance: set immediately before starting a
 #: child process, cleared right after.  Forked children read it once.
@@ -57,42 +29,68 @@ def available() -> bool:
     return "fork" in mp.get_all_start_methods()
 
 
-def default_workers() -> int:
-    """A sensible worker count: the CPU count, capped at 8."""
-    return max(1, min(os.cpu_count() or 1, 8))
+def _task_worker_main(conn) -> None:
+    """Worker loop: receive (index, task), apply the inherited function,
+    reply (index, ok, payload)."""
+    worker_fn: Callable[[Any], Any] = _HANDOFF
+    try:
+        while True:
+            message = conn.recv()
+            if message is None:
+                break
+            index, task = message
+            try:
+                conn.send((index, True, worker_fn(task)))
+            except Exception as error:  # surfaced in the parent
+                conn.send((index, False, repr(error)))
+    except (EOFError, BrokenPipeError, KeyboardInterrupt):  # pragma: no cover
+        pass
+    finally:
+        conn.close()
 
 
-# ------------------------------------------------------ fork-pool base
+class TaskPool:
+    """Map independent tasks over forked workers, deterministically.
 
+    Dispatch is greedy -- each worker receives a new task as soon as it
+    reports the previous one -- but results are slotted by task index,
+    so :meth:`map` returns the same list whatever the scheduling or the
+    worker count.  Tasks must therefore be self-contained (carry their
+    own seeds) and results picklable.
 
-class ForkPool:
-    """A fixed band of forked worker processes with per-worker pipes.
-
-    Subclasses choose the worker loop (``target``) and the payload the
-    children inherit through the fork hand-off slot; this base owns the
-    process/pipe lifecycle.  The target/payload pair is retained so a
-    supervised pool can fork *replacement* workers after a watchdog
-    kill (:meth:`spawn_worker`).
+    The pool owns the process/pipe lifecycle of its workers.  The worker
+    function is retained so a supervised pool can fork *replacement*
+    workers after a watchdog kill (:meth:`spawn_worker`).
     """
 
-    def __init__(self, target: Callable, payload: Any, workers: int):
-        self._target = target
-        self._payload = payload
+    def __init__(
+        self,
+        worker_fn: Callable[[Any], Any],
+        workers: int,
+        supervisor: Optional[Any] = None,
+    ):
+        """``supervisor`` is an optional
+        :class:`~repro.checker.backends.supervision.TaskSupervisor`;
+        without one the pool keeps its historical semantics (no
+        timeouts, unbounded immediate retries)."""
+        self._worker_fn = worker_fn
+        self.supervisor = supervisor
+        self._initial_workers = max(1, workers)
         self.connections: list = []
         self.processes: list = []
         self._owner: Dict[int, Any] = {}  # connection fileno -> process
-        for _ in range(max(1, workers)):
+        for _ in range(self._initial_workers):
             self.spawn_worker()
 
     def spawn_worker(self) -> Any:
         """Fork one (more) worker; returns its parent-side pipe end."""
         global _HANDOFF
         context = mp.get_context("fork")
-        _HANDOFF = self._payload
+        _HANDOFF = self._worker_fn
         try:
             parent_end, child_end = context.Pipe()
             process = context.Process(
-                target=self._target, args=(child_end,), daemon=True
+                target=_task_worker_main, args=(child_end,), daemon=True
             )
             process.start()
             child_end.close()
@@ -133,9 +131,9 @@ class ForkPool:
         """Interrupt path: kill and reap every worker *now*.
 
         Called on SIGINT/SIGTERM (KeyboardInterrupt/SystemExit inside
-        :meth:`TaskPool.map`) so a cancelled campaign leaves no orphaned
-        worker processes behind; safe to call more than once and
-        followed by the usual ``close()``."""
+        :meth:`map`) so a cancelled campaign leaves no orphaned worker
+        processes behind; safe to call more than once and followed by
+        the usual ``close()``."""
         for process in self.processes:
             if process.is_alive():
                 process.terminate()
@@ -169,54 +167,6 @@ class ForkPool:
         self.connections = []
         self.processes = []
         self._owner = {}
-
-
-# ------------------------------------------------------ generic task pool
-
-
-def _task_worker_main(conn) -> None:
-    """Worker loop: receive (index, task), apply the inherited function,
-    reply (index, ok, payload)."""
-    worker_fn: Callable[[Any], Any] = _HANDOFF
-    try:
-        while True:
-            message = conn.recv()
-            if message is None:
-                break
-            index, task = message
-            try:
-                conn.send((index, True, worker_fn(task)))
-            except Exception as error:  # surfaced in the parent
-                conn.send((index, False, repr(error)))
-    except (EOFError, BrokenPipeError, KeyboardInterrupt):  # pragma: no cover
-        pass
-    finally:
-        conn.close()
-
-
-class TaskPool(ForkPool):
-    """Map independent tasks over forked workers, deterministically.
-
-    Dispatch is greedy -- each worker receives a new task as soon as it
-    reports the previous one -- but results are slotted by task index,
-    so :meth:`map` returns the same list whatever the scheduling or the
-    worker count.  Tasks must therefore be self-contained (carry their
-    own seeds) and results picklable.
-    """
-
-    def __init__(
-        self,
-        worker_fn: Callable[[Any], Any],
-        workers: int,
-        supervisor: Optional[Any] = None,
-    ):
-        """``supervisor`` is an optional
-        :class:`~repro.checker.backends.supervision.TaskSupervisor`;
-        without one the pool keeps its historical semantics (no
-        timeouts, unbounded immediate retries)."""
-        super().__init__(_task_worker_main, worker_fn, workers)
-        self.supervisor = supervisor
-        self._initial_workers = max(1, workers)
 
     def map(
         self,
@@ -385,486 +335,3 @@ class TaskPool(ForkPool):
                 ]:
                     dispatch(connection)
         return results
-
-
-# ----------------------------------------------------------- BFS pool
-
-
-def _bfs_worker_main(conn) -> None:
-    """Worker loop: receive (delta_fps, frontier_shard, segments), expand,
-    reply.
-
-    ``segments`` selects the dedupe mode per round: ``None`` keeps the
-    private visited set incrementally synchronized from ``delta``
-    (``--dedupe rounds``); a tuple of shared-memory segment names attaches
-    the :class:`~repro.checker.visited.SharedVisitedSet` those names
-    describe, so candidate fingerprints dedupe against every worker in
-    real time (``--dedupe shared``; ``delta`` arrives empty).
-    """
-    core: "CompiledSpec" = _HANDOFF
-    schema = core.schema
-    seen: set = set()
-    shared = None
-    try:
-        while True:
-            message = conn.recv()
-            if message is None:
-                break
-            delta, entries, segments = message
-            if segments is not None:
-                from repro.checker import visited
-
-                if shared is None:
-                    shared = visited.SharedVisitedSet.attach(segments)
-                else:
-                    shared.attach_new(segments)
-                table = shared
-            else:
-                seen.update(delta)
-                table = seen
-            if core.kernel is not None:
-                # Compiled path: the shard is already (fp, values, known,
-                # digests) rows, and kernel candidates carry raw value
-                # tuples -- exactly the wire format -- so the batch result
-                # ships without any per-candidate conversion.  Workers
-                # adapt their memo layout independently inside
-                # expand_batch (fork gives each its own core copy).
-                conn.send(
-                    core.expand_batch(FrontierBatch.from_entries(entries), table)
-                )
-                continue
-            out = []
-            for entry_fp, values, known, digests in entries:
-                state = State(schema, values)
-                transitions, candidates = core.expand(
-                    state, known, table, entry_fp, digests
-                )
-                out.append(
-                    (
-                        entry_fp,
-                        transitions,
-                        [
-                            (idx, nxt.values, fp, mask, viols, masked, ok, nd)
-                            for idx, nxt, fp, mask, viols, masked, ok, nd in candidates
-                        ],
-                    )
-                )
-            conn.send(out)
-    except (EOFError, BrokenPipeError, KeyboardInterrupt):  # pragma: no cover
-        pass
-    finally:
-        if shared is not None:
-            shared.close()
-        conn.close()
-
-
-class WorkerPool(ForkPool):
-    """A fixed band of forked BFS workers with per-worker pipes.
-
-    Task/worker affinity is explicit (worker *i* always receives shard
-    *i*), which is what lets each worker maintain an incrementally
-    synchronized visited-fingerprint set instead of receiving the full
-    set every round.
-    """
-
-    def __init__(self, core: "CompiledSpec", workers: int):
-        super().__init__(_bfs_worker_main, core, workers)
-
-    def round(
-        self,
-        delta: List[int],
-        frontier: List[Tuple[int, Tuple, int, Tuple[int, ...]]],
-        segments: Optional[Tuple[str, ...]] = None,
-    ) -> List[Tuple[int, int, list]]:
-        """Expand one frontier layer; results arrive in frontier order."""
-        shard_count = len(self.connections)
-        base, extra = divmod(len(frontier), shard_count)
-        shards = []
-        cursor = 0
-        for index in range(shard_count):
-            size = base + (1 if index < extra else 0)
-            shards.append(frontier[cursor : cursor + size])
-            cursor += size
-        for connection, shard in zip(self.connections, shards):
-            connection.send((delta, shard, segments))
-        merged: List[Tuple[int, int, list]] = []
-        for connection in self.connections:
-            merged.extend(connection.recv())
-        return merged
-
-
-# ------------------------------------------------------- sharded DFS
-
-
-def run_dfs_sharded(engine: "ExplorationEngine") -> CheckResult:
-    """Bounded DFS sharded across forked workers (``--dedupe shared``).
-
-    The parent claims the initial states, expands them one level, and
-    deals the depth-1 subtrees round-robin across ``engine.workers``
-    forked workers.  All workers share one
-    :class:`~repro.checker.visited.SharedVisitedSet`: a state claimed by
-    any worker prunes every other worker's subtree in real time, so the
-    shards cooperate instead of re-exploring each other's territory
-    (the ROADMAP's "shard the DFS visited sets" item).
-
-    Unlike the round-synchronous BFS modes this traversal is *not*
-    deterministic across runs -- subtree interleaving depends on
-    scheduling -- but reported violations always carry replayable
-    traces, and the merge consumes worker results in shard order.
-    Like the sequential DFS, the search stops at the first violation
-    (each shard stops at its own first; the merge reports the first in
-    shard order).  ``max_states`` is split evenly across workers;
-    distinct-state accounting sums each worker's successful table
-    claims, which a lost compare-and-publish race can overcount by the
-    handful of states two workers claimed simultaneously.
-    """
-    from repro.checker import visited
-
-    spec = engine.spec
-    core = engine._compile()
-    result = CheckResult(spec_name=spec.name)
-    start = time.monotonic()
-    max_depth = engine.max_depth if engine.max_depth is not None else 40
-    table = visited.SharedVisitedSet(visited.suggest_capacity(engine.max_states))
-    try:
-        roots: List[Tuple] = []
-        local_seen: set = set()
-        for init in spec.initial_states():
-            if (
-                engine.max_states is not None
-                and result.states_explored >= engine.max_states
-            ):
-                result.budget_exhausted = "max_states"
-                break
-            fp, digests = core.fingerprinter.of_values_with_digests(init.values)
-            if not table.add(fp):
-                continue
-            result.states_explored += 1
-            viols, masked, ok = core.classify(init)
-            if masked:
-                continue
-            if viols:
-                result.violations.append(
-                    Violation(
-                        invariant=core.invariants[viols[0]],
-                        trace=Trace(states=[init], labels=[]),
-                    )
-                )
-                return result
-            if not ok or max_depth < 1:
-                continue
-            transitions, candidates = core.expand(
-                init, 0, local_seen, fp, digests, classify_candidates=False
-            )
-            result.transitions += transitions
-            for idx, nxt, nfp, nknown, _, _, _, ndigests in candidates:
-                roots.append(
-                    (nxt.values, nfp, (idx,), init.values, nknown, ndigests)
-                )
-
-        workers = max(1, engine.workers)
-        shards = [roots[index::workers] for index in range(workers)]
-        share, rem = (None, 0)
-        if engine.max_states is not None:
-            budget = max(0, engine.max_states - result.states_explored)
-            share, rem = divmod(budget, workers)
-        time_left = None
-        if engine.max_time is not None:
-            time_left = max(0.05, engine.max_time - (time.monotonic() - start))
-        names = table.descriptors()
-
-        def run_shard(task):
-            shard_index, shard = task
-            shard_table = visited.SharedVisitedSet.attach(names)
-            shard_start = time.monotonic()
-            out = {
-                "states": 0,
-                "transitions": 0,
-                "max_depth": 0,
-                "violations": [],
-                "budget_exhausted": None,
-            }
-            state_budget = None
-            if share is not None:
-                state_budget = share + (1 if shard_index < rem else 0)
-            schema = core.schema
-            throwaway: set = set()
-            stack = list(reversed(shard))
-            try:
-                while stack:
-                    if state_budget is not None and out["states"] >= state_budget:
-                        out["budget_exhausted"] = "max_states"
-                        break
-                    if (
-                        time_left is not None
-                        and time.monotonic() - shard_start > time_left
-                    ):
-                        out["budget_exhausted"] = "max_time"
-                        break
-                    values, fp, chain, init_values, known, digests = stack.pop()
-                    if not shard_table.add(fp):
-                        continue
-                    out["states"] += 1
-                    depth = len(chain)
-                    if depth > out["max_depth"]:
-                        out["max_depth"] = depth
-                    viols, masked, ok = core.classify_values(values)
-                    if masked:
-                        continue
-                    if viols:
-                        # Mirror the sequential DFS: the search stops at
-                        # its first violation.
-                        out["violations"].append(
-                            (
-                                core.invariants[viols[0]].ident,
-                                core.invariants[viols[0]].instance,
-                                [core.labels[i] for i in chain],
-                                init_values,
-                            )
-                        )
-                        break
-                    if depth >= max_depth or not ok:
-                        continue
-                    throwaway.clear()
-                    if core.kernel is not None:
-                        ((_, transitions, kcands),) = core.expand_batch(
-                            FrontierBatch.single(fp, values, known, digests),
-                            throwaway,
-                            classify_candidates=False,
-                        )
-                        out["transitions"] += transitions
-                        for idx, svt, nfp, nknown, _, _, _, ndigests in kcands:
-                            if nfp not in shard_table:
-                                stack.append(
-                                    (
-                                        svt,
-                                        nfp,
-                                        chain + (idx,),
-                                        init_values,
-                                        nknown,
-                                        ndigests,
-                                    )
-                                )
-                        continue
-                    transitions, candidates = core.expand(
-                        State(schema, values), known, throwaway, fp, digests,
-                        classify_candidates=False,
-                    )
-                    out["transitions"] += transitions
-                    for idx, nxt, nfp, nknown, _, _, _, ndigests in candidates:
-                        if nfp not in shard_table:
-                            stack.append(
-                                (
-                                    nxt.values,
-                                    nfp,
-                                    chain + (idx,),
-                                    init_values,
-                                    nknown,
-                                    ndigests,
-                                )
-                            )
-                out["exhausted_stack"] = not stack
-            finally:
-                shard_table.close()
-            return out
-
-        pool = TaskPool(run_shard, workers)
-        try:
-            deadline = None if time_left is None else time.monotonic() + time_left + 5.0
-            outcomes = pool.map(list(enumerate(shards)), deadline=deadline)
-        finally:
-            pool.close()
-
-        exhausted_all = True
-        by_key = {(inv.ident, inv.instance): inv for inv in spec.invariants}
-        for outcome in outcomes:
-            if outcome is None:
-                # Deadline-skipped or lost to a worker death: the shard's
-                # subtree was not searched, which must be visible in the
-                # result rather than passing for a clean partial run.
-                exhausted_all = False
-                if result.budget_exhausted is None:
-                    result.budget_exhausted = "max_time"
-                continue
-            result.states_explored += outcome["states"]
-            result.transitions += outcome["transitions"]
-            if outcome["max_depth"] > result.max_depth:
-                result.max_depth = outcome["max_depth"]
-            if outcome["budget_exhausted"] is not None:
-                exhausted_all = False
-                if result.budget_exhausted is None:
-                    result.budget_exhausted = outcome["budget_exhausted"]
-            if not outcome.get("exhausted_stack", False):
-                exhausted_all = False
-            if result.violations:
-                continue  # first violation in shard order wins
-            for ident, instance, labels, init_values in outcome["violations"][:1]:
-                initial = State(spec.schema, init_values)
-                states = spec.replay(labels, initial)
-                result.violations.append(
-                    Violation(
-                        invariant=by_key[(ident, instance)],
-                        trace=Trace(states=states, labels=list(labels)),
-                    )
-                )
-        result.completed = (
-            exhausted_all
-            and not result.violations
-            and result.budget_exhausted is None
-        )
-    finally:
-        table.close()
-        result.elapsed_seconds = time.monotonic() - start
-    return result
-
-
-# ------------------------------------------------------ portfolio race
-
-
-def _encode_result(result: CheckResult) -> Dict[str, Any]:
-    """Reduce a CheckResult to picklable primitives (invariant predicates
-    and specs hold closures, so Violation objects cannot cross a pipe)."""
-    violations = []
-    for violation in result.violations:
-        trace = violation.trace
-        violations.append(
-            (
-                violation.invariant.ident,
-                violation.invariant.instance,
-                [label for label in trace.labels],
-                trace.initial.values,
-            )
-        )
-    return {
-        "spec_name": result.spec_name,
-        "states_explored": result.states_explored,
-        "transitions": result.transitions,
-        "max_depth": result.max_depth,
-        "elapsed_seconds": result.elapsed_seconds,
-        "completed": result.completed,
-        "budget_exhausted": result.budget_exhausted,
-        "violations": violations,
-    }
-
-
-def _decode_result(engine: "ExplorationEngine", payload: Dict[str, Any]) -> CheckResult:
-    spec = engine.spec
-    result = CheckResult(spec_name=payload["spec_name"])
-    result.states_explored = payload["states_explored"]
-    result.transitions = payload["transitions"]
-    result.max_depth = payload["max_depth"]
-    result.elapsed_seconds = payload["elapsed_seconds"]
-    result.completed = payload["completed"]
-    result.budget_exhausted = payload["budget_exhausted"]
-    by_key = {(inv.ident, inv.instance): inv for inv in spec.invariants}
-    for ident, instance, labels, init_values in payload["violations"]:
-        initial = State(spec.schema, init_values)
-        states = spec.replay(labels, initial)
-        result.violations.append(
-            Violation(
-                invariant=by_key[(ident, instance)],
-                trace=Trace(states=states, labels=list(labels)),
-            )
-        )
-    return result
-
-
-def _portfolio_contender_main(queue, tag: str) -> None:
-    engine: "ExplorationEngine" = _HANDOFF
-    try:
-        result = engine.run()
-        queue.put((tag, _encode_result(result)))
-    except Exception as error:  # pragma: no cover - surfaced to parent
-        queue.put((tag, {"error": repr(error)}))
-
-
-def run_portfolio(engine: "ExplorationEngine") -> CheckResult:
-    """Race one BFS contender against seeded random walkers.
-
-    Returns the first result that carries a violation, else the BFS
-    result (the only contender able to prove completion) once every
-    contender has reported or the time budget lapses.
-
-    With ``--dedupe shared`` the contenders additionally share one
-    visited table: the BFS contender publishes every accepted state and
-    the walkers publish every step, so a walker that strays into
-    territory the band has already covered cuts its walk short and
-    respins somewhere fresh instead of re-walking known states.
-    """
-    global _HANDOFF
-    context = mp.get_context("fork")
-    results_queue = context.Queue()
-    contenders = []
-    table = None
-    if engine.dedupe == "shared":
-        from repro.checker import visited
-
-        if visited.available():
-            table = visited.SharedVisitedSet(
-                visited.suggest_capacity(engine.max_states)
-            )
-    specs = [("bfs", engine._spawn("bfs", engine.seed))]
-    for index in range(1, engine.workers):
-        specs.append(
-            (f"walk-{index}", engine._spawn("random", engine.seed + index))
-        )
-    if table is not None:
-        for _, contender_engine in specs:
-            contender_engine._shared_visited = table.descriptors()
-    start = time.monotonic()
-    for tag, contender in specs:
-        _HANDOFF = contender
-        try:
-            process = context.Process(
-                target=_portfolio_contender_main,
-                args=(results_queue, tag),
-                daemon=True,
-            )
-            process.start()
-        finally:
-            _HANDOFF = None
-        contenders.append(process)
-
-    deadline = None if engine.max_time is None else start + engine.max_time + 5.0
-    outcomes: Dict[str, CheckResult] = {}
-    winner: Optional[CheckResult] = None
-    try:
-        while len(outcomes) < len(specs):
-            if deadline is not None and time.monotonic() >= deadline:
-                break
-            try:
-                tag, payload = results_queue.get(timeout=1.0)
-            except pyqueue.Empty:
-                # No result yet; if every contender died without
-                # reporting (killed, OOM, ...), stop waiting instead of
-                # hanging on an unbounded get.
-                if not any(process.is_alive() for process in contenders):
-                    break
-                continue
-            if "error" in payload:
-                raise RuntimeError(
-                    f"portfolio contender {tag} failed: {payload['error']}"
-                )
-            outcomes[tag] = _decode_result(engine, payload)
-            if outcomes[tag].found_violation:
-                winner = outcomes[tag]
-                break
-    finally:
-        for process in contenders:
-            if process.is_alive():
-                process.terminate()
-        for process in contenders:
-            process.join(timeout=2.0)
-        results_queue.close()
-        if table is not None:
-            table.close()
-
-    if winner is None:
-        winner = outcomes.get("bfs")
-    if winner is None and outcomes:
-        winner = next(iter(outcomes.values()))
-    if winner is None:
-        winner = CheckResult(spec_name=engine.spec.name)
-        winner.budget_exhausted = "max_time"
-    winner.elapsed_seconds = time.monotonic() - start
-    return winner

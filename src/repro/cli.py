@@ -32,7 +32,7 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.checker import DEDUPE_MODES, STRATEGIES, ExplorationEngine, format_trace
+from repro.checker import STRATEGIES, ExplorationEngine, format_trace
 from repro.zookeeper import ZkConfig, make_spec, zk4394_mask
 from repro.zookeeper.specs import SELECTIONS
 
@@ -55,24 +55,8 @@ def _add_engine_args(parser: argparse.ArgumentParser):
         help="exploration strategy (default: bfs)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for the parallel BFS / portfolio modes",
-    )
-    parser.add_argument(
         "--seed", type=int, default=0,
-        help="seed for the random / portfolio strategies",
-    )
-    parser.add_argument(
-        "--dedupe",
-        choices=list(DEDUPE_MODES),
-        default="rounds",
-        help="cross-worker visited-set mode: 'rounds' merges at round "
-        "barriers (bitwise-identical to sequential), 'shared' dedupes "
-        "through a shared-memory visited table in real time (same "
-        "states and violations, faster; also enables sharded DFS and "
-        "the portfolio's shared walk pruning)",
+        help="seed for the random strategy",
     )
     parser.add_argument(
         "--debug-deps",
@@ -102,9 +86,7 @@ def _add_engine_args(parser: argparse.ArgumentParser):
 def _engine(args, spec, **overrides) -> ExplorationEngine:
     kwargs = dict(
         strategy=getattr(args, "strategy", "bfs"),
-        workers=getattr(args, "workers", 1),
         seed=getattr(args, "seed", 0),
-        dedupe=getattr(args, "dedupe", "rounds"),
         debug=getattr(args, "debug_deps", False),
         compile_mode=getattr(args, "compile_mode", "auto"),
         max_states=args.max_states,
@@ -115,12 +97,7 @@ def _engine(args, spec, **overrides) -> ExplorationEngine:
 
 
 def _print_stats(engine: ExplorationEngine) -> None:
-    core = getattr(engine, "core", None)
-    if core is None:
-        print("(no memo statistics: engine ran without a compiled core)")
-        return
-    stats = core.memo_stats()
-    print(json.dumps(stats, indent=2, sort_keys=True))
+    print(json.dumps(engine.core.memo_stats(), indent=2, sort_keys=True))
 
 
 def _config(args) -> ZkConfig:

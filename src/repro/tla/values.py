@@ -82,8 +82,8 @@ class Rec(Mapping):
     def __reduce__(self):
         # Default pickling would setattr on the reconstructed instance,
         # which the immutability guard rejects; rebuild from the item
-        # tuple instead (the parallel checker ships Rec-bearing value
-        # tuples between worker processes).
+        # tuple instead (Rec-bearing values cross process pipes and the
+        # on-disk spec cache).
         return (_rec_from_items, (self._items,))
 
     def replace(self, **updates: Any) -> "Rec":

@@ -127,7 +127,6 @@ def check_spec(
     config: Optional[ZkConfig] = None,
     *,
     strategy: str = "bfs",
-    workers: int = 1,
     masked: bool = True,
     **engine_kwargs,
 ):
@@ -135,7 +134,7 @@ def check_spec(
     unified exploration engine.
 
     This is the one entry point the CLI and the benchmarks share:
-    ``check_spec("mSpec-3", cfg, strategy="portfolio", workers=4)``.
+    ``check_spec("mSpec-3", cfg, strategy="dfs", max_states=50_000)``.
     ``masked=True`` applies the ZK-4394 mask (the paper's default).
     """
     from repro.checker.engine import ExplorationEngine
@@ -143,9 +142,7 @@ def check_spec(
     if isinstance(spec, str):
         spec = make_spec(spec, config)
     engine_kwargs.setdefault("mask", zk4394_mask if masked else None)
-    return ExplorationEngine(
-        spec, strategy=strategy, workers=workers, **engine_kwargs
-    ).run()
+    return ExplorationEngine(spec, strategy=strategy, **engine_kwargs).run()
 
 
 def build_spec(

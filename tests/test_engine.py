@@ -1,6 +1,6 @@
 """Tests for the unified exploration engine: fingerprinting, guard and
-invariant memoization soundness, parallel determinism, portfolio racing,
-and shrink round-trips on engine-produced traces."""
+invariant memoization soundness, the single-process strategies, and
+shrink round-trips on engine-produced traces."""
 
 import pickle
 import random
@@ -196,7 +196,7 @@ class TestEngineBFS:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
             ExplorationEngine(counter_spec(), strategy="bogus")
-        assert set(STRATEGIES) == {"bfs", "dfs", "random", "portfolio"}
+        assert set(STRATEGIES) == {"bfs", "dfs", "random"}
 
 
 class TestEngineStrategies:
@@ -214,56 +214,31 @@ class TestEngineStrategies:
             v.invariant.ident for v in b.violations
         ]
 
-    def test_portfolio_finds_violation_in_process(self):
-        result = explore(counter_spec(), strategy="portfolio", workers=1)
-        assert result.found_violation
-        assert result.first_violation.invariant.ident == "I-1"
-
-    def test_portfolio_race_across_processes(self):
+    @pytest.mark.parametrize("max_states", [500, None])
+    def test_random_walk_cap_without_time_budget(self, max_states):
+        # 6 reachable states never exhaust max_states=500: without the
+        # idle-walk cap that run never returned.  With no budget at all
+        # the total walk cap applies.
         result = explore(
-            counter_spec(), strategy="portfolio", workers=3, max_time=60
+            counter_spec(max_x=2, y_bound=99),
+            strategy="random",
+            seed=1,
+            max_states=max_states,
         )
-        assert result.found_violation
-        assert result.first_violation.invariant.ident == "I-1"
-
-    def test_portfolio_trace_replays(self):
-        spec = counter_spec()
-        result = explore(spec, strategy="portfolio", workers=2, max_time=60)
-        trace = result.first_violation.trace
-        assert spec.replay(trace.labels, trace.initial)[-1] == trace.final
+        assert result.budget_exhausted == "max_walks"
+        assert result.states_explored == 6
+        assert not result.found_violation
 
 
-class TestParallelDeterminism:
-    def test_counter_spec_workers_agree(self):
-        seq = ExplorationEngine(counter_spec(max_x=8, y_bound=99), workers=1).run()
-        par = ExplorationEngine(counter_spec(max_x=8, y_bound=99), workers=2).run()
-        assert seq.states_explored == par.states_explored
-        assert seq.transitions == par.transitions
-        assert seq.max_depth == par.max_depth
-        assert seq.completed and par.completed
+class TestSingleProcess:
+    def test_multiple_workers_rejected(self):
+        with pytest.raises(ValueError, match="one process"):
+            ExplorationEngine(counter_spec(), workers=2)
+        assert ExplorationEngine(counter_spec(), workers=1).run().found_violation
 
-    def test_zookeeper_small_config_workers_agree(self):
-        # V391 small config: the parallel engine must report exactly the
-        # sequential violation set and state count.
-        budget = dict(max_states=6_000, max_time=120)
-        seq = check_spec("mSpec-3", SMALL, workers=1, **budget)
-        par = check_spec("mSpec-3", SMALL, workers=2, **budget)
-        assert seq.states_explored == par.states_explored
-        assert seq.transitions == par.transitions
-        assert [
-            (v.invariant.full_name, v.depth) for v in seq.violations
-        ] == [(v.invariant.full_name, v.depth) for v in par.violations]
-
-    @pytest.mark.slow
-    def test_zookeeper_violation_workers_agree(self):
-        budget = dict(max_states=30_000, max_time=300)
-        seq = check_spec("mSpec-3", SMALL, workers=1, **budget)
-        par = check_spec("mSpec-3", SMALL, workers=4, **budget)
-        assert seq.found_violation and par.found_violation
-        assert seq.states_explored == par.states_explored
-        assert [
-            (v.invariant.full_name, v.depth) for v in seq.violations
-        ] == [(v.invariant.full_name, v.depth) for v in par.violations]
+    def test_dedupe_keyword_removed(self):
+        with pytest.raises(TypeError):
+            ExplorationEngine(counter_spec(), dedupe="shared")
 
 
 class TestEngineOnZooKeeper:
