@@ -50,7 +50,6 @@ def hunt(
     violation_limit=10_000,
     strategy="bfs",
     incremental=True,
-    compile_mode="auto",
 ):
     """One model-checking run, optionally restricted to an invariant
     family (how Table 4 reports per-bug rows)."""
@@ -79,7 +78,6 @@ def hunt(
         stop_at_first=stop_at_first,
         violation_limit=violation_limit,
         incremental=incremental,
-        compile_mode=compile_mode,
     )
     return engine.run()
 

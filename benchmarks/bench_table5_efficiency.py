@@ -274,15 +274,15 @@ def run_engine_trajectory(max_states, max_time):
     return report
 
 
-#: The compiled-kernel A/B lane: one row per (protocol, spec, budget).
-#: The rows deliberately span both memoization regimes.  The ZooKeeper
-#: specs have wide dependency closures (the hot ``state`` variable sits in
-#: nearly every closure), so kernel replay roughly breaks even with the
-#: interpreted memo path -- those rows feed the regression floor.  The
-#: Raft plugin specs have narrow closures, so the compiled replay path is
-#: the dominant cost -- ``raft-fine@150k`` is the >=1.5x gate row.  Raft
-#: appears at two budgets because memo hit rates (and so the kernel
-#: advantage) grow with frontier depth; the pair records that trend.
+#: The compiled-kernel lane: one row per (protocol, spec, budget), the
+#: engine (memoized kernel) against the seed checker.  The rows
+#: deliberately span both memoization regimes.  The ZooKeeper specs have
+#: wide dependency closures (the hot ``state`` variable sits in nearly
+#: every closure), so they are Amdahl-bound by shared applier cost.  The
+#: Raft plugin specs have narrow closures, so memo replay is the dominant
+#: cost -- ``raft-fine@150k`` is the gate row.  Raft appears at two
+#: budgets because memo hit rates (and so the kernel advantage) grow with
+#: frontier depth; the pair records that trend.
 AB_COMPILED_ROWS = (
     ("zookeeper", "SysSpec", 30_000),
     ("zookeeper", "mSpec-2", 30_000),
@@ -296,9 +296,20 @@ AB_COMPILED_ROWS = (
 #: The row the --min-compiled-ratio gate applies to.
 AB_COMPILED_GATE_ROW = "raft-fine@150k"
 
-#: Every row must stay above this compiled/interpreted floor (compiled
-#: must never be a regression, modulo runner noise).
-AB_COMPILED_FLOOR = 0.9
+#: Per-row regression floors on ``compiled_vs_seed_speedup``: 0.9x the
+#: row's committed interpreted-path/seed ratio, rounded up, from the last
+#: BENCH_engine.json that measured the interpreted successor path.  The
+#: kernel was never slower than that path, so falling below a floor is a
+#: regression, modulo runner noise.
+AB_COMPILED_FLOORS = {
+    "SysSpec@30k": 1.36,
+    "mSpec-2@30k": 1.69,
+    "mSpec-3@30k": 1.82,
+    "raft-coarse@100k": 1.92,
+    "raft-fine@100k": 2.48,
+    "raft-coarse@150k": 2.16,
+    "raft-fine@150k": 2.45,
+}
 
 
 def _ab_compiled_spec(protocol, name):
@@ -316,55 +327,48 @@ def _ab_compiled_spec(protocol, name):
 def run_ab_compiled(max_time, reps=2):
     """The compiled-kernel lane of ``BENCH_engine.json``.
 
-    Per row, runs the engine with ``--compile on``, ``--compile off`` and
-    the seed checker under the same sequential state budget, interleaved
-    for ``reps`` repetitions with the minimum CPU time kept per arm
-    (min-of-N cancels runner drift far better than wall-clock means).
-    Enumeration must be bitwise-identical between the engine arms --
-    states, transitions and violations are compared and a mismatch is a
-    hard failure, not a statistic.
+    Per row, runs the engine and the seed checker under the same
+    sequential state budget, interleaved for ``reps`` repetitions with the
+    minimum CPU time kept per arm (min-of-N cancels runner drift far
+    better than wall-clock means).  The engine's enumeration must be
+    identical in every repetition -- states, transitions and violations
+    are compared and a mismatch is a hard failure, not a statistic.
     """
     from repro.checker.engine import ExplorationEngine
     from repro.checker.legacy import LegacyBFSChecker
 
     rows = {}
     for protocol, name, max_states in AB_COMPILED_ROWS:
-        times = {"compiled": [], "interpreted": [], "seed": []}
-        explored = {}
+        times = {"compiled": [], "seed": []}
+        explored = {"compiled": [], "seed": []}
 
         def arm(mode):
             spec, mask = _ab_compiled_spec(protocol, name)
-            if mode == "seed":
-                runner = LegacyBFSChecker(
-                    spec, max_states=max_states, max_time=max_time, mask=mask
-                )
-            else:
-                runner = ExplorationEngine(
-                    spec,
-                    "bfs",
-                    max_states=max_states,
-                    max_time=max_time,
-                    mask=mask,
-                    compile_mode="on" if mode == "compiled" else "off",
-                )
+            runner_cls = LegacyBFSChecker if mode == "seed" else ExplorationEngine
+            runner = runner_cls(
+                spec, max_states=max_states, max_time=max_time, mask=mask
+            )
             t0 = time.process_time()
             result = runner.run()
             times[mode].append(time.process_time() - t0)
-            explored[mode] = (
-                result.states_explored,
-                result.transitions,
-                sorted(v.invariant.full_name for v in result.violations),
+            explored[mode].append(
+                (
+                    result.states_explored,
+                    result.transitions,
+                    sorted(v.invariant.full_name for v in result.violations),
+                )
             )
 
         for _ in range(reps):
-            for mode in ("compiled", "interpreted", "seed"):
+            for mode in ("compiled", "seed"):
                 arm(mode)
-        if explored["compiled"] != explored["interpreted"]:
+        if len(set(map(repr, explored["compiled"]))) != 1:
             raise SystemExit(
-                f"compiled/interpreted enumeration mismatch on {name}: "
-                f"{explored['compiled']} vs {explored['interpreted']}"
+                f"engine enumeration differs between repetitions on {name}: "
+                f"{explored['compiled']}"
             )
-        states = explored["compiled"][0]
+        states = explored["compiled"][0][0]
+        seed_states = explored["seed"][0][0]
         best = {mode: min(ts) for mode, ts in times.items()}
         rows[f"{name}@{max_states // 1000}k"] = {
             "spec": name,
@@ -372,16 +376,12 @@ def run_ab_compiled(max_time, reps=2):
             "max_states": max_states,
             "states_explored": states,
             "compiled_seconds": round(best["compiled"], 3),
-            "interpreted_seconds": round(best["interpreted"], 3),
             "seed_seconds": round(best["seed"], 3),
-            "compiled_speedup": round(
-                best["interpreted"] / best["compiled"], 3
-            ),
             "compiled_vs_seed_speedup": round(
-                (best["seed"] / explored["seed"][0]) / (best["compiled"] / states),
+                (best["seed"] / seed_states) / (best["compiled"] / states),
                 3,
             )
-            if explored["seed"][0]
+            if seed_states
             else None,
         }
 
@@ -395,17 +395,10 @@ def run_ab_compiled(max_time, reps=2):
     return {
         "rows": rows,
         "aggregate": {
-            "geomean_compiled_speedup": geomean(
-                r["compiled_speedup"] for r in rows.values()
-            ),
             "geomean_compiled_vs_seed_speedup": geomean(
                 r["compiled_vs_seed_speedup"] for r in rows.values()
             ),
-            "min_compiled_speedup": min(
-                r["compiled_speedup"] for r in rows.values()
-            ),
             "gate_row": AB_COMPILED_GATE_ROW,
-            "gate_compiled_speedup": gate.get("compiled_speedup"),
             "gate_compiled_vs_seed_speedup": gate.get(
                 "compiled_vs_seed_speedup"
             ),
@@ -442,19 +435,18 @@ def main(argv=None):
     parser.add_argument(
         "--ab-compiled",
         action="store_true",
-        help="add the compiled-kernel lane to the report: compiled vs "
-        "interpreted vs seed checker per AB_COMPILED_ROWS row, "
-        "sequential, min-of-2 CPU time, with a hard "
-        "equal-enumeration check",
+        help="add the compiled-kernel lane to the report: engine vs "
+        "seed checker per AB_COMPILED_ROWS row, sequential, min-of-2 "
+        "CPU time, with a hard repeat-enumeration check",
     )
     parser.add_argument(
         "--min-compiled-ratio",
         type=float,
         default=None,
         help="with --ab-compiled: exit 1 unless the gate row "
-        f"({AB_COMPILED_GATE_ROW}) reaches this compiled/interpreted "
-        f"speedup and every row stays above the {AB_COMPILED_FLOOR} "
-        "regression floor",
+        f"({AB_COMPILED_GATE_ROW}) reaches this compiled/seed speedup "
+        "and every row stays above its AB_COMPILED_FLOORS regression "
+        "floor",
     )
     args = parser.parse_args(argv)
     if args.ab_incremental:
@@ -483,28 +475,28 @@ def main(argv=None):
             file=sys.stderr,
         )
     if args.ab_compiled and args.min_compiled_ratio is not None:
-        agg = report["ab_compiled"]["aggregate"]
-        gate = agg["gate_compiled_speedup"]
-        floor = agg["min_compiled_speedup"]
+        ab = report["ab_compiled"]
+        gate = ab["aggregate"]["gate_compiled_vs_seed_speedup"]
         if gate is None or gate < args.min_compiled_ratio:
             print(
                 f"compiled gate FAILED: {AB_COMPILED_GATE_ROW} "
-                f"compiled/interpreted ratio {gate} < required "
+                f"compiled/seed ratio {gate} < required "
                 f"{args.min_compiled_ratio}",
                 file=sys.stderr,
             )
             return 1
-        if floor < AB_COMPILED_FLOOR:
-            print(
-                f"compiled gate FAILED: worst row ratio {floor} < "
-                f"regression floor {AB_COMPILED_FLOOR}",
-                file=sys.stderr,
-            )
-            return 1
+        for row_name, floor in AB_COMPILED_FLOORS.items():
+            ratio = ab["rows"][row_name]["compiled_vs_seed_speedup"]
+            if ratio is None or ratio < floor:
+                print(
+                    f"compiled gate FAILED: {row_name} compiled/seed ratio "
+                    f"{ratio} < regression floor {floor}",
+                    file=sys.stderr,
+                )
+                return 1
         print(
-            f"compiled gate ok: {AB_COMPILED_GATE_ROW} ratio {gate} >= "
-            f"{args.min_compiled_ratio}, worst row {floor} >= "
-            f"{AB_COMPILED_FLOOR}",
+            f"compiled gate ok: {AB_COMPILED_GATE_ROW} compiled/seed ratio "
+            f"{gate} >= {args.min_compiled_ratio}, every row above its floor",
             file=sys.stderr,
         )
     return 0

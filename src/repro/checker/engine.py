@@ -21,9 +21,11 @@ Strategies
 Every strategy runs in the calling process: state-space explosion is
 controlled by the grain of the specification, not by worker processes.
 
+Successors come from one place: a batch kernel that
+:mod:`repro.tla.codegen` generates per specification at compose time.
 Hot-path engineering (where the >=2x over the seed checker comes from;
-``incremental=False`` switches the analysis-based parts off for A/B
-soundness checks):
+``incremental=False`` emits the kernel without any of the analysis-based
+parts, as the memo-free reference arm for A/B soundness checks):
 
 - invariants are evaluated once per distinct state (the seed evaluated
   them at discovery *and* again at expansion), and their verdicts are
@@ -36,12 +38,15 @@ soundness checks):
   projection value.  On top of that, an instance disabled in the parent
   whose reads miss the taken action's write set is known-disabled in
   the child without any lookup (the ``affects`` interference matrix);
-- successor fingerprints are updated incrementally from the parent's
-  per-slot digest tuple (one digest lookup per changed slot), and
-  ``State`` objects are only materialized for successors that survive
-  the fingerprint dedup;
-- action parameter bindings are pre-bound with ``functools.partial``
-  instead of rebuilding a kwargs dict per application;
+- outcome memoization: per projection of the state onto an action
+  group's dependency closure, the kernel stores every enabled member's
+  changed slots and the fingerprint delta they cause, so a hit replays
+  a successor with one XOR and never calls the action;
+- memoizing on declarations is sound only when they are truthful, so a
+  spec the static analyzer cannot prove (:func:`kernel_trusted`) gets
+  the memo-free kernel instead;
+- ``State`` objects are only materialized for memo misses, traces and
+  violations;
 - the cyclic garbage collector is suspended during exploration (states
   are immutable; exploration allocates millions of short-lived tuples
   that the generational GC would repeatedly scan).
@@ -60,34 +65,28 @@ from repro.checker.fingerprint import Fingerprinter
 from repro.checker.result import CheckResult, Violation
 from repro.checker.trace import Trace
 from repro.tla.batch import FrontierBatch
+from repro.tla.codegen import CODEGEN_VERSION, emit_kernel
 from repro.tla.spec import Specification
 from repro.tla.state import State
 
 #: Strategy names accepted by the engine (and the CLI ``--strategy`` flag).
 STRATEGIES = ("bfs", "dfs", "random")
 
-#: Kernel compilation modes (``--compile``).  ``auto`` compiles specs whose
-#: declarations the static analyzer proves truthful (``repro lint`` rules
-#: D01/D03/D05/D07 and P01-P04) and falls back to the interpreted path
-#: otherwise; ``on`` forces compilation (same trust model as the PR-5
-#: memo: garbage declarations in, garbage out -- pair with ``--debug-deps``
-#: to cross-check); ``off`` forces the interpreted path.
-COMPILE_MODES = ("auto", "on", "off")
-
-#: BFS rounds are swept through the compiled kernel in chunks of this many
-#: frontier entries.  Large enough to amortize batch setup, small enough
-#: that budget checks between chunks keep truncated runs from over-expanding
-#: past ``max_states`` (the sequential interpreted path stops per state).
+#: BFS rounds are swept through the kernel in chunks of this many frontier
+#: entries.  Large enough to amortize batch setup, small enough that budget
+#: checks between chunks keep truncated runs from over-expanding past
+#: ``max_states``.
 _KERNEL_CHUNK = 512
 
-#: Lint rules that block kernel compilation in ``auto`` mode.  The kernel
-#: replays memoized update bindings keyed on the dependency closure, which
-#: is sound exactly when the closure declarations are honest: D01 (reads
-#: outside the closure), D03 (undeclared writes), D05/D07 (unresolvable /
-#: malformed declarations) and the purity rules P01-P04 each break that
-#: contract.  D02/D04 (over-declaration) and D06 (no closure at all) are
-#: harmless: over-declared closures only widen memo keys, and closure-less
-#: actions land in the never-memoized eager sweep.
+#: Lint rules that make a spec's declarations unusable as memo keys.  The
+#: kernel replays memoized update bindings keyed on the dependency
+#: closure, which is sound exactly when the closure declarations are
+#: honest: D01 (reads outside the closure), D03 (undeclared writes),
+#: D05/D07 (unresolvable / malformed declarations) and the purity rules
+#: P01-P04 each break that contract.  D02/D04 (over-declaration) and D06
+#: (no closure at all) are harmless: over-declared closures only widen
+#: memo keys, and closure-less actions land in the never-memoized eager
+#: sweep.
 _TRUST_BLOCKING = frozenset({"D01", "D03", "D05", "D07", "P01", "P02", "P03", "P04"})
 
 #: Per-action lint verdict cache, keyed on the action's code object and
@@ -99,14 +98,15 @@ _TRUST_CACHE_LIMIT = 4096
 
 
 def kernel_trusted(spec: Specification) -> bool:
-    """Whether ``--compile auto`` may emit kernels for this spec.
+    """Whether the kernel may memoize on this spec's declarations.
 
-    Runs the PR-8 static analyzer over every action and requires zero
-    findings for the trust-critical rules (:data:`_TRUST_BLOCKING`).  The
-    verdict is cached on the spec object, and per-action verdicts are
-    cached globally by code object + declarations, so repeated spec
-    composition stays cheap.  Any analyzer failure counts as untrusted:
-    the engine then simply stays on the interpreted path.
+    Runs the static analyzer (``repro lint``) over every action and
+    requires zero findings for the trust-critical rules
+    (:data:`_TRUST_BLOCKING`).  The verdict is cached on the spec object,
+    and per-action verdicts are cached globally by code object +
+    declarations, so repeated spec composition stays cheap.  Any analyzer
+    failure counts as untrusted: the engine then emits the memo-free
+    kernel.
     """
     verdict = getattr(spec, "_kernel_trusted", None)
     if verdict is not None:
@@ -144,10 +144,10 @@ def kernel_trusted(spec: Specification) -> bool:
 #: written then).
 _UNUSED_SEEN: set = set()
 
-#: Candidate successor record produced by :meth:`CompiledSpec.expand`:
-#: (instance_index, successor_state, fingerprint, child_known_disabled,
-#:  violated_invariant_indices, masked, within_constraint, slot_digests)
-Candidate = Tuple[int, Any, int, int, Tuple[int, ...], bool, bool, Tuple[int, ...]]
+#: Candidate successor record produced by :meth:`CompiledSpec.expand_batch`:
+#: (instance_index, successor_values, fingerprint, child_known_disabled,
+#:  violated_invariant_indices, masked, within_constraint)
+Candidate = Tuple[int, Tuple[Any, ...], int, int, Tuple[int, ...], bool, bool]
 
 
 class CompiledSpec:
@@ -157,7 +157,8 @@ class CompiledSpec:
     lists indexed by action-instance position: the pre-bound applier
     callables, trace labels, and the read/write interference matrix
     ``affects`` (bit *i* of ``affects[j]`` is set when instance *i* reads
-    a variable instance *j* writes).
+    a variable instance *j* writes).  The generated batch kernel
+    (:attr:`kernel`) binds these tables and the memo dicts.
     """
 
     __slots__ = (
@@ -177,7 +178,6 @@ class CompiledSpec:
         "outcome_group_slots",
         "outcome_memos",
         "outcome_stats",
-        "kernel_outcome_memos",
         "direct",
         "eager",
         "ungrouped",
@@ -197,7 +197,7 @@ class CompiledSpec:
         "mask",
         "n_instances",
         "debug",
-        "compile_mode",
+        "memoized",
         "kernel",
         "kernel_source",
         "expand_calls",
@@ -236,12 +236,7 @@ class CompiledSpec:
         mask: Optional[Callable[[State], bool]] = None,
         incremental: bool = True,
         debug: bool = False,
-        compile_mode: str = "auto",
     ):
-        if compile_mode not in COMPILE_MODES:
-            raise ValueError(
-                f"unknown compile mode {compile_mode!r}; options: {list(COMPILE_MODES)}"
-            )
         self.spec = spec
         self.config = spec.config
         self.schema = spec.schema
@@ -257,6 +252,11 @@ class CompiledSpec:
             kwargs = dict(inst.binding)
             appliers.append(partial(inst.action.fn, **kwargs) if kwargs else inst.action.fn)
         self.appliers = appliers
+        # Every memo below is keyed on declared dependencies, so a spec
+        # whose declarations the analyzer cannot prove gets the memo-free
+        # layout: memoizing on a lie explores the wrong state space.
+        incremental = incremental and kernel_trusted(spec)
+        self.memoized = incremental
         if incremental:
             reads = [inst.action.reads for inst in instances]
             writes = [inst.action.writes for inst in instances]
@@ -323,7 +323,6 @@ class CompiledSpec:
                 outcome_group_slots.append(idxs)
             self.outcome_groups = outcome_groups
             self.outcome_group_slots = outcome_group_slots
-            self.outcome_memos: List[dict] = [{} for _ in outcome_groups]
             self.direct = ()
             self.ungrouped = tuple(ungrouped)
             # Narrow disabled-verdict memos, by guard read set.  A group
@@ -361,7 +360,6 @@ class CompiledSpec:
             self.guard_memos = []
             self.outcome_groups = []
             self.outcome_group_slots = []
-            self.outcome_memos = []
             self.direct = ()
             self.ungrouped = tuple(range(self.n_instances))
             self._shadowed_guards = {}
@@ -378,7 +376,7 @@ class CompiledSpec:
         self.outcome_stats: List[List[int]] = [
             [0, 0, 0, 0] for _ in self.outcome_groups
         ]
-        self.kernel_outcome_memos: List[dict] = [{} for _ in self.outcome_groups]
+        self.outcome_memos: List[dict] = [{} for _ in self.outcome_groups]
         self.demoted_groups: List[dict] = []
         # Instances evaluated on every state they are not proven
         # disabled in: wide-closure instances (skippable via inherited
@@ -439,15 +437,9 @@ class CompiledSpec:
                         f"{attr}_key",
                         itemgetter(*idxs) if len(idxs) > 1 else itemgetter(idxs[0]),
                     )
-        # Kernel compilation (the compile-then-batch pipeline).  Only the
-        # incremental path compiles: the kernel *is* the memoized path, so
-        # incremental=False (the A/B soundness arm) stays interpreted.
-        self.compile_mode = compile_mode
-        self.kernel: Optional[Callable] = None
-        self.kernel_source: Optional[str] = None
-        if incremental and compile_mode != "off":
-            if compile_mode == "on" or kernel_trusted(spec):
-                self._emit_kernel()
+        self.kernel: Callable
+        self.kernel_source: str
+        self._emit_kernel()
 
     def _emit_kernel(self) -> None:
         """(Re-)emit the batch kernel for the current group layout.
@@ -456,80 +448,14 @@ class CompiledSpec:
         emitted code binds the *current* memo dicts and stats cells, so
         surviving groups keep their warm memos across re-emission.
         """
-        from repro.tla.codegen import emit_kernel
-
         self.kernel_source, self.kernel = emit_kernel(self)
 
-    def _masked(self, state: State) -> bool:
-        """Mask verdict for a state, memoized per declared-reads
-        projection when the mask declares one."""
-        mask_key = self.mask_key
-        if mask_key is None:
-            return bool(self.mask(state))
-        memo = self.mask_memo
-        key = mask_key(state.values)
-        hit = memo.get(key)
-        if hit is None:
-            hit = bool(self.mask(state))
-            if len(memo) >= self.GUARD_MEMO_LIMIT:
-                memo.clear()
-            memo[key] = hit
-        return hit
-
-    def _within_constraint(self, state: State) -> bool:
-        """Constraint verdict, memoized like :meth:`_masked`."""
-        ckey = self.constraint_key
-        if ckey is None:
-            return bool(self.constraint(self.config, state))
-        memo = self.constraint_memo
-        key = ckey(state.values)
-        hit = memo.get(key)
-        if hit is None:
-            hit = bool(self.constraint(self.config, state))
-            if len(memo) >= self.GUARD_MEMO_LIMIT:
-                memo.clear()
-            memo[key] = hit
-        return hit
-
-    def classify(self, state: State) -> Tuple[Tuple[int, ...], bool, bool]:
-        """(violated invariant indices, masked, within constraint)."""
-        if self.mask is not None and self._masked(state):
-            return (), True, True
-        config = self.config
-        values = state.values
-        invariant_fns = self.invariant_fns
-        memo_limit = self.GUARD_MEMO_LIMIT
-        viol_bits = 0
-        for group_index, (key_fn, group_members) in enumerate(self.inv_groups):
-            memo = self.inv_memos[group_index]
-            key = key_fn(values)
-            hit = memo.get(key)
-            if hit is None:
-                hit = 0
-                for i in group_members:
-                    if not invariant_fns[i](config, state):
-                        hit |= 1 << i
-                if len(memo) >= memo_limit:
-                    memo.clear()
-                memo[key] = hit
-            viol_bits |= hit
-        for i in self.inv_ungrouped:
-            if not invariant_fns[i](config, state):
-                viol_bits |= 1 << i
-        if viol_bits:
-            viols = tuple(
-                i for i in range(len(invariant_fns)) if (viol_bits >> i) & 1
-            )
-        else:
-            viols = ()
-        ok = self.constraint is None or self._within_constraint(state)
-        return viols, False, ok
-
     def classify_values(self, values: Tuple[Any, ...]) -> Tuple[Tuple[int, ...], bool, bool]:
-        """:meth:`classify` over a raw values tuple, materializing the
-        ``State`` lazily -- only when a mask, a memo miss, an ungrouped
-        invariant or a constraint actually needs attribute access.  The
-        batch kernels classify through this, so a fully memo-hit candidate
+        """``(violated invariant indices, masked, within constraint)`` of a
+        raw values tuple, materializing the ``State`` lazily -- only when
+        a mask, a memo miss, an ungrouped invariant or a constraint
+        actually needs attribute access.  The kernels classify through
+        this (or an inlined copy of it), so a fully memo-hit candidate
         never allocates a ``State`` at all."""
         state: Optional[State] = None
         if self.mask is not None:
@@ -605,247 +531,29 @@ class CompiledSpec:
         self,
         state: State,
         state_fp: int,
-        state_digests: Tuple[int, ...],
         known_disabled: int,
         rng: random.Random,
     ):
-        """One random-walk step through the incremental successor path.
+        """One random-walk step through the kernel.
 
         Expands with dedupe off -- every state-changing successor, in
         instance order, exactly the distribution
         ``Specification.successors`` enumerates (and one ``rng.choice``
         consuming the same entropy) -- and returns
-        ``(instance_index, state, fp, known_disabled, digests)`` for the
-        chosen successor, or ``None`` in a dead end.  Shared by
-        :class:`~repro.checker.random_walk.RandomWalker` and the
-        engine's ``random`` strategy.
+        ``(instance_index, state, fp, known_disabled)`` for the chosen
+        successor, or ``None`` in a dead end.  Only the chosen successor is
+        materialized as a ``State``.  Shared by
+        :class:`~repro.checker.random_walk.RandomWalker` and the engine's
+        ``random`` strategy.
         """
-        if self.kernel is not None:
-            batch = FrontierBatch.single(
-                state_fp, state.values, known_disabled, state_digests
-            )
-            ((_, _, candidates),) = self.expand_batch(
-                batch, _UNUSED_SEEN, False, False  # no classify, no dedupe
-            )
-            if not candidates:
-                return None
-            # Same candidate list length and order as the interpreted path,
-            # so the rng.choice consumes identical entropy -- and only the
-            # *chosen* successor is materialized as a State.
-            idx, svt, fp, known, _, _, _, digests = rng.choice(candidates)
-            return idx, State(self.schema, svt), fp, known, digests
-        _, candidates = self.expand(
-            state, known_disabled, _UNUSED_SEEN, state_fp, state_digests,
-            False, False,  # no classify, no dedupe
+        ((_, _, candidates),) = self.expand_batch(
+            FrontierBatch.single(state_fp, state.values, known_disabled),
+            _UNUSED_SEEN, False, False,  # no classify, no dedupe
         )
         if not candidates:
             return None
-        idx, nxt, fp, known, _, _, _, digests = rng.choice(candidates)
-        return idx, nxt, fp, known, digests
-
-    def _check_outcome(self, idx: int, outcome, state: State) -> None:
-        """Debug mode: re-evaluate one instance and compare against a
-        memoized/inherited outcome (catches untruthful ``reads`` /
-        ``writes`` / ``update_sources`` declarations)."""
-        updates = self.appliers[idx](self.config, state)
-        schema_index = self.schema._index
-        fresh = (
-            None
-            if updates is None
-            else tuple(sorted((schema_index[n], v) for n, v in updates.items()))
-        )
-        stored = None if outcome is None else tuple(sorted(outcome))
-        if fresh != stored:
-            action = self.actions[idx]
-            sources = {k: sorted(v) for k, v in action.update_sources.items()}
-            raise AssertionError(
-                f"action {self.labels[idx]} violated its dependency "
-                f"declaration (reads={sorted(action.reads)}, "
-                f"writes={sorted(action.writes)}, update_sources={sources}): "
-                f"memoized outcome {stored!r} != fresh outcome {fresh!r}"
-            )
-
-    def expand(
-        self,
-        state: State,
-        known_disabled: int,
-        seen: set,
-        state_fp: int,
-        state_digests: Tuple[int, ...],
-        classify_candidates: bool = True,
-        dedupe: bool = True,
-    ) -> Tuple[int, List[Candidate]]:
-        """Expand one frontier state.
-
-        ``known_disabled`` carries the instances proven disabled by the
-        parent's dependency analysis.  ``seen`` is the caller's
-        fingerprint set; candidate fingerprints are added to it so the
-        same successor is emitted at most once per expansion context (the
-        merge step performs the authoritative cross-context dedup).
-        With ``dedupe`` off that filter is skipped and every
-        state-changing successor is emitted exactly in instance order --
-        the random walkers use it to draw from the full successor
-        distribution.
-        ``state_fp``/``state_digests`` are the parent's fingerprint and
-        per-slot digests: each successor fingerprint costs one digest
-        lookup per *changed* slot (``fp ^ old_digest ^ new_digest``), and
-        successor ``State`` objects are only materialized for candidates
-        that survive the fingerprint dedup.
-
-        Returns ``(transitions, candidates)`` where ``transitions``
-        counts every state-changing successor (including already-seen
-        ones, matching the seed checker's transition count).
-        """
-        self.expand_calls += 1
-        if self.expand_calls - self._last_adapt >= self.ADAPT_INTERVAL:
-            self._adapt()
-        config = self.config
-        appliers = self.appliers
-        debug = self.debug
-        memo_limit = self.GUARD_MEMO_LIMIT
-        outcome_limit = self.OUTCOME_MEMO_LIMIT
-        values = state.values
-        schema = self.schema
-        schema_index = schema._index
-        slot_digest = self.fingerprinter.slot_digest
-        transitions = 0
-        disabled = known_disabled
-        raw: List[Tuple[int, List[Tuple[int, Any]]]] = []
-        pending: List[Tuple[dict, Any, int]] = []
-        # Tier 1: disabled-verdict memos keyed on the narrow guard read
-        # set.  Cheap, high hit rate; lets the outcome tier below skip
-        # function calls for members already proven disabled.
-        for group_index, (key_fn, bits) in enumerate(self.guard_groups):
-            memo = self.guard_memos[group_index]
-            key = key_fn(values)
-            hit = memo.get(key)
-            if hit is not None:
-                disabled |= hit
-            else:
-                self.guard_stats[group_index][0] += 1
-                pending.append((memo, key, bits))
-        # Tier 2: full-outcome memos keyed on the dependency closure
-        # (reads | writes | update_sources).  A hit replays the stored
-        # verdicts and update bindings without calling any action
-        # function; a miss evaluates the not-yet-disabled members once
-        # and records the complete per-instance outcome vector (sound
-        # because every disabled bit above is itself a function of the
-        # guard reads, a subset of the closure this entry is keyed on).
-        for group_index, (key_fn, members) in enumerate(self.outcome_groups):
-            memo = self.outcome_memos[group_index]
-            key = key_fn(values)
-            entry = memo.get(key)
-            if entry is not None:
-                group_disabled, enabled = entry
-                disabled |= group_disabled
-                for idx, outcome in enabled:
-                    if debug:
-                        self._check_outcome(idx, outcome, state)
-                    changes = [
-                        (slot, value)
-                        for slot, value in outcome
-                        if values[slot] is not value and values[slot] != value
-                    ]
-                    if changes:
-                        raw.append((idx, changes))
-                if debug:
-                    todo = group_disabled
-                    while todo:
-                        low = todo & -todo
-                        todo ^= low
-                        self._check_outcome(low.bit_length() - 1, None, state)
-                continue
-            self.outcome_stats[group_index][0] += 1
-            group_disabled = 0
-            enabled = []
-            for idx in members:
-                bit = 1 << idx
-                if disabled & bit:
-                    group_disabled |= bit
-                    continue
-                updates = appliers[idx](config, state)
-                if updates is None:
-                    disabled |= bit
-                    group_disabled |= bit
-                    continue
-                if debug:
-                    self.actions[idx].validate_updates(updates)
-                outcome = tuple(
-                    (schema_index[name], value) for name, value in updates.items()
-                )
-                enabled.append((idx, outcome))
-                changes = [
-                    (slot, value)
-                    for slot, value in outcome
-                    if values[slot] is not value and values[slot] != value
-                ]
-                if changes:
-                    raw.append((idx, changes))
-            if len(memo) >= outcome_limit:
-                memo.clear()
-            memo[key] = (group_disabled, tuple(enabled))
-        for idx in self.eager:
-            if (disabled >> idx) & 1:
-                continue
-            updates = appliers[idx](config, state)
-            if updates is None:
-                disabled |= 1 << idx
-                continue
-            if debug:
-                self.actions[idx].validate_updates(updates)
-            changes = [
-                (slot, value)
-                for slot, value in (
-                    (schema_index[name], value) for name, value in updates.items()
-                )
-                if values[slot] is not value and values[slot] != value
-            ]
-            if changes:
-                raw.append((idx, changes))
-        for memo, key, bits in pending:
-            if len(memo) >= memo_limit:
-                memo.clear()
-            memo[key] = disabled & bits
-        raw.sort(key=itemgetter(0))  # successor order = instance order
-        candidates: List[Candidate] = []
-        affects = self.affects
-        for idx, changes in raw:
-            transitions += 1
-            fp = state_fp
-            new_digests = []
-            for slot, value in changes:
-                digest = slot_digest(slot, value)
-                fp ^= state_digests[slot] ^ digest
-                new_digests.append(digest)
-            if dedupe:
-                if fp in seen:
-                    continue
-                seen.add(fp)
-            successor_values = list(values)
-            digests = list(state_digests)
-            for (slot, value), digest in zip(changes, new_digests):
-                successor_values[slot] = value
-                digests[slot] = digest
-            nxt = State(schema, tuple(successor_values))
-            if classify_candidates:
-                viols, masked, ok = self.classify(nxt)
-            else:
-                viols, masked, ok = (), False, True
-            candidates.append(
-                (
-                    idx,
-                    nxt,
-                    fp,
-                    disabled & ~affects[idx],
-                    viols,
-                    masked,
-                    ok,
-                    tuple(digests),
-                )
-            )
-        return transitions, candidates
-
-    # ---------------------------------------------------- batch kernels
+        idx, svt, fp, known, _, _, _ = rng.choice(candidates)
+        return idx, State(self.schema, svt), fp, known
 
     def expand_batch(
         self,
@@ -853,51 +561,35 @@ class CompiledSpec:
         seen: set,
         classify_candidates: bool = True,
         dedupe: bool = True,
-    ) -> List[Tuple[int, int, list]]:
-        """Expand a whole frontier batch through the compiled kernel.
+    ) -> List[Tuple[int, int, List[Candidate]]]:
+        """Expand a whole frontier batch through the kernel.
 
         Returns ``[(entry_fp, transitions, candidates), ...]`` in entry
-        order, with candidates shaped like :meth:`expand`'s except that
-        the successor is a raw values tuple (``State`` materialization is
-        the caller's choice).  Falls back to per-entry interpreted
-        expansion when no kernel is compiled, so callers can stay
-        path-agnostic.
+        order.  ``seen`` is the caller's fingerprint set; candidate
+        fingerprints are added to it so the same successor is emitted at
+        most once.  With ``dedupe`` off that filter is skipped and every
+        state-changing successor is emitted in instance order -- the
+        random walkers use it to draw from the full successor
+        distribution.  ``transitions`` counts every state-changing
+        successor (including already-seen ones, matching the seed
+        checker's transition count).
         """
-        kernel = self.kernel
-        if kernel is not None:
-            self.expand_calls += len(batch)
-            if self.expand_calls - self._last_adapt >= self.ADAPT_INTERVAL:
-                self._adapt()
-                kernel = self.kernel  # demotion re-emits
-            if self.debug:
-                self._debug_check_batch(batch)
-            return kernel(
-                batch.fps, batch.values, batch.knowns,
-                seen, dedupe, classify_candidates,
-            )
-        schema = self.schema
-        results: List[Tuple[int, int, list]] = []
-        for fp, values, known, digests in batch.entries():
-            transitions, cands = self.expand(
-                State(schema, values), known, seen, fp, digests,
-                classify_candidates, dedupe,
-            )
-            results.append(
-                (
-                    fp,
-                    transitions,
-                    [(c[0], c[1].values) + c[2:] for c in cands],
-                )
-            )
-        return results
+        self.expand_calls += len(batch)
+        if self.expand_calls - self._last_adapt >= self.ADAPT_INTERVAL:
+            self._adapt()  # demotion re-emits self.kernel
+        if self.debug:
+            self._debug_check_batch(batch)
+        return self.kernel(
+            batch.fps, batch.values, batch.knowns,
+            seen, dedupe, classify_candidates,
+        )
 
     def _debug_check_batch(self, batch: FrontierBatch) -> None:
-        """Debug mode: cross-check kernel outcomes against a *fresh*
-        interpreted evaluation of every instance (no memos, no inherited
-        disabled bits), so a lying declaration that poisons a kernel memo
-        entry -- or wrongly inherits a known-disabled bit -- is caught at
-        the first state it mis-expands."""
-        assert self.kernel is not None
+        """Debug mode: cross-check kernel outcomes against a *fresh* call
+        of every instance's action (no memos, no inherited disabled bits),
+        so a lying declaration that poisons a kernel memo entry -- or
+        wrongly inherits a known-disabled bit -- is caught at the first
+        state it mis-expands."""
         out = self.kernel(
             batch.fps, batch.values, batch.knowns,
             _UNUSED_SEEN, False, False,
@@ -984,14 +676,13 @@ class CompiledSpec:
         calls = self.expand_calls
         names = self.schema.names
         keep_groups, keep_slots = [], []
-        keep_memos, keep_kmemos, keep_stats = [], [], []
+        keep_memos, keep_stats = [], []
         demoted_members: List[int] = []
         for gi in range(len(self.outcome_groups)):
             if gi not in drop:
                 keep_groups.append(self.outcome_groups[gi])
                 keep_slots.append(self.outcome_group_slots[gi])
                 keep_memos.append(self.outcome_memos[gi])
-                keep_kmemos.append(self.kernel_outcome_memos[gi])
                 keep_stats.append(self.outcome_stats[gi])
                 continue
             slots = self.outcome_group_slots[gi]
@@ -1017,18 +708,15 @@ class CompiledSpec:
         self.outcome_groups = keep_groups
         self.outcome_group_slots = keep_slots
         self.outcome_memos = keep_memos
-        self.kernel_outcome_memos = keep_kmemos
         self.outcome_stats = keep_stats
         self.direct = self.direct + tuple(sorted(demoted_members))
         self.eager = self.direct + self.ungrouped
-        if self.kernel is not None:
-            self._emit_kernel()
+        self._emit_kernel()
 
     def memo_stats(self) -> dict:
         """Per-action-group memo telemetry for ``--stats``."""
         calls = self.expand_calls
         names = self.schema.names
-        compiled = self.kernel is not None
 
         def row(slots, members, cell, entries):
             lookups = max(0, calls - cell[1])
@@ -1047,11 +735,7 @@ class CompiledSpec:
                 self.outcome_group_slots[gi],
                 len(group[1]),
                 self.outcome_stats[gi],
-                len(
-                    self.kernel_outcome_memos[gi]
-                    if compiled
-                    else self.outcome_memos[gi]
-                ),
+                len(self.outcome_memos[gi]),
             )
             for gi, group in enumerate(self.outcome_groups)
         ]
@@ -1064,8 +748,9 @@ class CompiledSpec:
             )
             for gi, group in enumerate(self.guard_groups)
         ]
-        stats = {
-            "mode": "compiled" if compiled else "interpreted",
+        return {
+            "memoized": self.memoized,
+            "codegen_version": CODEGEN_VERSION,
             "expand_calls": calls,
             "eager_instances": len(self.eager),
             "outcome_groups": outcome_rows,
@@ -1080,11 +765,6 @@ class CompiledSpec:
                 else None
             ),
         }
-        if compiled:
-            from repro.tla.codegen import CODEGEN_VERSION
-
-            stats["codegen_version"] = CODEGEN_VERSION
-        return stats
 
 
 def compiled_for(
@@ -1093,28 +773,19 @@ def compiled_for(
     mask: Optional[Callable[[State], bool]] = None,
     incremental: bool = True,
     debug: bool = False,
-    compile_mode: str = "auto",
 ) -> CompiledSpec:
     """The compiled form of a specification, cached on the spec.
 
     The default configuration (64-bit fingerprints, no mask, incremental
-    analysis, ``compile auto``) is compiled once per
-    :class:`Specification` instance and shared by every consumer --
-    engine runs, random walkers, the conformance campaign's suffix
-    replays -- so the interference matrix and any generated kernels are
-    built once and the guard/outcome memos stay warm across calls.
-    Campaign workers fork after the parent pre-warms the cache and
-    inherit the compiled core (kernels included) by memory image.
-    Explicit ``compile_mode`` overrides bypass the cache: they are A/B
-    measurement arms that must not leak their layout into shared state.
+    analysis, no debug) is compiled once per :class:`Specification`
+    instance and shared by every consumer -- engine runs, random walkers,
+    the conformance campaign's suffix replays -- so the interference
+    matrix and the generated kernel are built once and the guard/outcome
+    memos stay warm across calls.  Campaign workers fork after the parent
+    pre-warms the cache and inherit the compiled core (kernel included)
+    by memory image.  Any other configuration gets a private core.
     """
-    if (
-        fingerprinter is None
-        and mask is None
-        and incremental
-        and not debug
-        and compile_mode == "auto"
-    ):
+    if fingerprinter is None and mask is None and incremental and not debug:
         core = getattr(spec, "_compiled_core", None)
         if core is None:
             core = CompiledSpec(spec)
@@ -1126,7 +797,6 @@ def compiled_for(
         mask=mask,
         incremental=incremental,
         debug=debug,
-        compile_mode=compile_mode,
     )
 
 
@@ -1151,20 +821,15 @@ class ExplorationEngine:
         Override the 64-bit default (tests use narrow widths to force
         collisions).
     incremental:
-        Enable the declared-reads guard short-circuiting (on by default;
-        switch off to force full guard re-evaluation on every state).
+        Memoize on the declared dependencies (on by default, and only for
+        specs :func:`kernel_trusted` accepts); switch off for the
+        memo-free reference kernel, which re-evaluates every guard on
+        every state.  Enumeration order is bitwise identical either way.
     debug:
-        Cross-check every memoized/inherited action outcome against a
-        fresh evaluation and validate update dicts against the declared
-        write sets (slow; catches untruthful dependency declarations).
-        With a compiled kernel, every batch is additionally cross-checked
-        against a fresh interpreted evaluation of all instances.
-    compile_mode:
-        Kernel compilation (``--compile``): ``"auto"`` (default) compiles
-        specs the static analyzer proves truthful and falls back to the
-        interpreted path otherwise; ``"on"`` forces compilation;
-        ``"off"`` forces interpretation.  Enumeration order is bitwise
-        identical either way.
+        Cross-check every kernel batch against a fresh evaluation of all
+        instances (no memos, no inherited disabled bits) and validate
+        update dicts against the declared write sets (slow; catches
+        untruthful dependency declarations).
     """
 
     def __init__(
@@ -1182,7 +847,6 @@ class ExplorationEngine:
         fingerprinter: Optional[Fingerprinter] = None,
         incremental: bool = True,
         debug: bool = False,
-        compile_mode: str = "auto",
     ):
         if strategy not in STRATEGIES:
             raise ValueError(
@@ -1191,10 +855,6 @@ class ExplorationEngine:
         if workers != 1:
             raise ValueError(
                 f"workers={workers!r}: exploration runs in one process"
-            )
-        if compile_mode not in COMPILE_MODES:
-            raise ValueError(
-                f"unknown compile mode {compile_mode!r}; options: {list(COMPILE_MODES)}"
             )
         self.spec = spec
         self.strategy = strategy
@@ -1208,7 +868,6 @@ class ExplorationEngine:
         self.fingerprinter = fingerprinter
         self.incremental = incremental
         self.debug = debug
-        self.compile_mode = compile_mode
         #: The compiled core of the last run (memo/kernel telemetry for
         #: ``--stats``); ``None`` until a strategy has run.
         self.core: Optional[CompiledSpec] = None
@@ -1233,7 +892,6 @@ class ExplorationEngine:
             mask=self.mask,
             incremental=self.incremental,
             debug=self.debug,
-            compile_mode=self.compile_mode,
         )
         self.core = core
         return core
@@ -1248,7 +906,7 @@ class ExplorationEngine:
 
         parent_link: Dict[int, Optional[Tuple[int, int]]] = {}
         init_by_fp: Dict[int, State] = {}
-        seen: set = set()  # expansion-side fingerprint set (sequential)
+        seen: set = set()  # expansion-side fingerprint set
         stop = False
 
         def trace_to(fp: int) -> Trace:
@@ -1278,16 +936,16 @@ class ExplorationEngine:
             return False
 
         # Round 0: the initial states.
-        # Frontier entries: (fp, payload, known_disabled, slot_digests).
-        frontier: List[Tuple[int, Any, int, Tuple[int, ...]]] = []
+        # Frontier entries: (fp, values, known_disabled).
+        frontier: List[Tuple[int, Tuple[Any, ...], int]] = []
         for init in spec.initial_states():
-            fp, digests = core.fingerprinter.of_values_with_digests(init.values)
+            fp = core.fingerprinter.of_values(init.values)
             if fp in parent_link:
                 continue
             parent_link[fp] = None
             init_by_fp[fp] = init
             seen.add(fp)
-            viols, masked, ok = core.classify(init)
+            viols, masked, ok = core.classify_values(init.values)
             if masked:
                 continue
             if viols and record(fp, viols):
@@ -1295,7 +953,7 @@ class ExplorationEngine:
                 break
             if viols or not ok:
                 continue
-            frontier.append((fp, init, 0, digests))
+            frontier.append((fp, init.values, 0))
         if (
             not stop
             and self.max_states is not None
@@ -1313,43 +971,27 @@ class ExplorationEngine:
                 result.budget_exhausted = "max_time"
                 break
 
-            if core.kernel is not None:
-                # Compiled path: sweep the round in fixed-size batches.
-                # Candidate payloads come back as raw value tuples;
-                # the merge loop below is payload-agnostic and traces
-                # replay from labels, so States are never built for
-                # states that only transit the frontier.  Chunking keeps
-                # the lazy budget semantics of the sequential path: when
-                # the merge loop stops mid-round (max_states, max_time,
-                # violation), unexpanded chunks are never swept, so
-                # compiled and interpreted runs do the same amount of
-                # work at truncated budgets.
-                def _batched(round_frontier=frontier):
-                    for lo in range(0, len(round_frontier), _KERNEL_CHUNK):
-                        yield from core.expand_batch(
-                            FrontierBatch.from_entries(
-                                round_frontier[lo : lo + _KERNEL_CHUNK]
-                            ),
-                            seen,
-                        )
+            # Sweep the round in fixed-size batches.  Candidate payloads
+            # come back as raw value tuples and traces replay from labels,
+            # so States are never built for states that only transit the
+            # frontier.  Chunking keeps budgets lazy: when the merge loop
+            # stops mid-round (max_states, max_time, violation),
+            # unexpanded chunks are never swept.
+            def _batched(round_frontier=frontier):
+                for lo in range(0, len(round_frontier), _KERNEL_CHUNK):
+                    yield from core.expand_batch(
+                        FrontierBatch.from_entries(
+                            round_frontier[lo : lo + _KERNEL_CHUNK]
+                        ),
+                        seen,
+                    )
 
-                results_iter = _batched()
-            else:
-                def _sequential():
-                    for fp, state, known, digests in frontier:
-                        transitions, cands = core.expand(
-                            state, known, seen, fp, digests
-                        )
-                        yield fp, transitions, cands
-
-                results_iter = _sequential()
-
-            next_frontier: List[Tuple[int, Any, int, Tuple[int, ...]]] = []
+            next_frontier: List[Tuple[int, Tuple[Any, ...], int]] = []
             child_depth = depth + 1
             expandable_depth = (
                 self.max_depth is None or child_depth < self.max_depth
             )
-            for entry_fp, transitions, candidates in results_iter:
+            for entry_fp, transitions, candidates in _batched():
                 if stop or result.budget_exhausted is not None:
                     break
                 if (
@@ -1359,7 +1001,7 @@ class ExplorationEngine:
                     result.budget_exhausted = "max_time"
                     break
                 result.transitions += transitions
-                for idx, payload, fp, known, viols, masked, ok, digests in candidates:
+                for idx, values, fp, known, viols, masked, ok in candidates:
                     if fp in parent_link:
                         continue
                     parent_link[fp] = (entry_fp, idx)
@@ -1371,7 +1013,7 @@ class ExplorationEngine:
                                 stop = True
                                 break
                         elif ok and expandable_depth:
-                            next_frontier.append((fp, payload, known, digests))
+                            next_frontier.append((fp, values, known))
                     if (
                         self.max_states is not None
                         and len(parent_link) >= self.max_states
@@ -1399,19 +1041,14 @@ class ExplorationEngine:
         visited: set = set()
         throwaway: set = set()
 
-        kernel = core.kernel is not None
-        schema = spec.schema
-
-        # Stack entries:
-        # (values, fp, labels-so-far, initial state, known_disabled, digests)
-        # -- raw value tuples, so pushed-but-pruned candidates never
-        # materialize a State (classification on pop is lazy too).
-        stack: List[
-            Tuple[Tuple[Any, ...], int, Tuple[int, ...], State, int, Tuple[int, ...]]
-        ] = []
+        # Stack entries: (values, fp, labels-so-far, initial state,
+        # known_disabled) -- raw value tuples, so pushed-but-pruned
+        # candidates never materialize a State (classification on pop is
+        # lazy too).
+        stack: List[Tuple[Tuple[Any, ...], int, Tuple[int, ...], State, int]] = []
         for init in spec.initial_states():
-            fp, digests = core.fingerprinter.of_values_with_digests(init.values)
-            stack.append((init.values, fp, (), init, 0, digests))
+            fp = core.fingerprinter.of_values(init.values)
+            stack.append((init.values, fp, (), init, 0))
 
         while stack:
             if self.max_states is not None and len(visited) >= self.max_states:
@@ -1423,7 +1060,7 @@ class ExplorationEngine:
             ):
                 result.budget_exhausted = "max_time"
                 break
-            values, fp, chain, init, known, digests = stack.pop()
+            values, fp, chain, init, known = stack.pop()
             if fp in visited:
                 continue
             visited.add(fp)
@@ -1446,29 +1083,15 @@ class ExplorationEngine:
             if depth >= max_depth or not ok:
                 continue
             throwaway.clear()
-            if kernel:
-                ((_, transitions, candidates),) = core.expand_batch(
-                    FrontierBatch.single(fp, values, known, digests),
-                    throwaway,
-                    classify_candidates=False,
-                )
-                result.transitions += transitions
-                for idx, svt, nfp, nknown, _, _, _, ndigests in candidates:
-                    if nfp not in visited:
-                        stack.append(
-                            (svt, nfp, chain + (idx,), init, nknown, ndigests)
-                        )
-            else:
-                transitions, candidates = core.expand(
-                    State(schema, values), known, throwaway, fp, digests,
-                    classify_candidates=False,
-                )
-                result.transitions += transitions
-                for idx, nxt, nfp, nknown, _, _, _, ndigests in candidates:
-                    if nfp not in visited:
-                        stack.append(
-                            (nxt.values, nfp, chain + (idx,), init, nknown, ndigests)
-                        )
+            ((_, transitions, candidates),) = core.expand_batch(
+                FrontierBatch.single(fp, values, known),
+                throwaway,
+                classify_candidates=False,
+            )
+            result.transitions += transitions
+            for idx, svt, nfp, nknown, _, _, _ in candidates:
+                if nfp not in visited:
+                    stack.append((svt, nfp, chain + (idx,), init, nknown))
 
         result.states_explored = len(visited)
         result.elapsed_seconds = time.monotonic() - start
@@ -1503,7 +1126,7 @@ class ExplorationEngine:
             else:
                 max_idle_walks = self.WALK_CAP
         seen: set = set()
-        seed_fp = core.fingerprinter.of_values_with_digests
+        seed_fp = core.fingerprinter.of_values
         initials = spec.initial_states()
         walks = idle_walks = 0
         stop = False
@@ -1526,13 +1149,13 @@ class ExplorationEngine:
             walks += 1
             known_states = len(seen)
             state = rng.choice(initials)
-            fp, digests = seed_fp(state.values)
+            fp = seed_fp(state.values)
             known = 0
             states = [state]
             labels: List[Any] = []
             seen.add(fp)
             for _ in range(max_steps):
-                viols, masked, ok = core.classify(state)
+                viols, masked, ok = core.classify_values(state.values)
                 if masked:
                     break
                 if viols:
@@ -1553,10 +1176,10 @@ class ExplorationEngine:
                     break
                 if not ok:
                     break
-                chosen = core.step(state, fp, digests, known, rng)
+                chosen = core.step(state, fp, known, rng)
                 if chosen is None:
                     break
-                idx, nxt, fp, known, digests = chosen
+                idx, nxt, fp, known = chosen
                 result.transitions += 1
                 labels.append(core.labels[idx])
                 states.append(nxt)

@@ -170,11 +170,9 @@ class Fingerprinter:
     def of_values_with_digests(
         self, values: Tuple[Any, ...]
     ) -> Tuple[int, Tuple[int, ...]]:
-        """The fingerprint plus the per-slot digest tuple.
-
-        The engine threads the digest tuple along the frontier so that a
-        successor's fingerprint only needs digests for changed slots.
-        """
+        """The fingerprint plus the per-slot digest tuple it XORs together
+        (a successor's fingerprint then only needs digests for changed
+        slots)."""
         slot_digest = self.slot_digest
         digests = tuple(
             slot_digest(index, value) for index, value in enumerate(values)
@@ -216,13 +214,12 @@ class Fingerprinter:
 class IncrementalFingerprinter(Fingerprinter):
     """A schema-aware fingerprinter with a name-keyed delta API.
 
-    :class:`Fingerprinter` works on slot indices; the exploration engine
-    (and, through it, the random walkers and campaign suffix replays)
-    threads per-slot digest tuples through its frontier and pays one
-    digest lookup per *changed* slot.  This subclass is the public
-    name-keyed mirror of that arithmetic for external callers driving
-    states by hand via :meth:`State.set_many
-    <repro.tla.state.State.set_many>`:
+    :class:`Fingerprinter` works on slot indices; the exploration engine's
+    kernels (and, through them, the random walkers and campaign suffix
+    replays) fold the digests of *changed* slots into one memoized delta
+    per action outcome.  This subclass is the public name-keyed mirror of
+    that arithmetic for external callers driving states by hand via
+    :meth:`State.set_many <repro.tla.state.State.set_many>`:
 
         fp' = fp ^ H(var, old) ^ H(var, new)   over written variables only
 

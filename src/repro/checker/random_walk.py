@@ -5,11 +5,11 @@ state space to obtain a set of traces under a predefined time budget"; this
 module is that explorer.  Walks are seeded and therefore reproducible,
 matching the deterministic-replay requirement.
 
-Walks step through the exploration engine's incremental successor path
-(:meth:`CompiledSpec.expand <repro.checker.engine.CompiledSpec.expand>`
-with dedupe off): guards benefit from the compiled spec's memoized
-outcomes and inherited disabled bits, and each successor's fingerprint is
-delta-updated rather than recomputed.  The enumeration order and the
+Walks step through the exploration engine's generated kernel
+(:meth:`CompiledSpec.step <repro.checker.engine.CompiledSpec.step>`, a
+batch of one with dedupe off): guards benefit from the compiled spec's
+memoized outcomes and inherited disabled bits, and each successor's
+fingerprint is delta-updated rather than recomputed.  The enumeration order and the
 state-changing filter are identical to ``Specification.successors``, so
 a seeded walk chooses exactly the same label sequence either way -- the
 conformance campaign's finding fingerprints (and its checked-in
@@ -55,17 +55,17 @@ class RandomWalker:
             initials = self.spec.initial_states()
             state = self.rng.choice(initials)
         core = self._core
-        fp, digests = core.fingerprinter.of_values_with_digests(state.values)
+        fp = core.fingerprinter.of_values(state.values)
         known = 0
         states: List[State] = [state]
         labels = []
         for _ in range(max_steps):
             if not self.spec.within_constraint(state):
                 break
-            chosen = core.step(state, fp, digests, known, self.rng)
+            chosen = core.step(state, fp, known, self.rng)
             if chosen is None:
                 break
-            idx, nxt, fp, known, digests = chosen
+            idx, nxt, fp, known = chosen
             labels.append(core.labels[idx])
             states.append(nxt)
             state = nxt

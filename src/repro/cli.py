@@ -66,20 +66,10 @@ def _add_engine_args(parser: argparse.ArgumentParser):
         "declarations)",
     )
     parser.add_argument(
-        "--compile",
-        dest="compile_mode",
-        choices=["auto", "on", "off"],
-        default="auto",
-        help="compiled successor kernels: 'auto' compiles when the "
-        "static analyzer (repro lint) proves the spec's dependency "
-        "declarations, 'on' forces compilation (trust declarations), "
-        "'off' stays on the interpreted path (default: auto)",
-    )
-    parser.add_argument(
         "--stats",
         action="store_true",
         help="print per-action-group memo hit/miss statistics after "
-        "the run (guard, outcome and kernel counters)",
+        "the run (guard and outcome counters)",
     )
 
 
@@ -88,7 +78,6 @@ def _engine(args, spec, **overrides) -> ExplorationEngine:
         strategy=getattr(args, "strategy", "bfs"),
         seed=getattr(args, "seed", 0),
         debug=getattr(args, "debug_deps", False),
-        compile_mode=getattr(args, "compile_mode", "auto"),
         max_states=args.max_states,
         max_time=args.max_time,
     )

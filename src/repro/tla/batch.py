@@ -1,18 +1,18 @@
 """Array-backed frontier batches for the compiled successor kernels.
 
-The exploration engine historically expanded one :class:`~repro.tla.state.State`
-at a time.  The compiled kernels instead sweep a whole BFS round (or a DFS /
-walk step of size one) in struct-of-arrays form: parallel columns of
-fingerprints, value tuples, inherited known-disabled bitmasks and per-slot
-digest tuples.  ``State`` objects are *not* part of a batch — kernels
-materialize them lazily, only when an action guard or an invariant actually
-needs attribute access (memo misses), or when a trace/violation has to be
-reported.
+The kernels sweep a whole BFS round (or a DFS / walk step of size one) in
+struct-of-arrays form: parallel columns of fingerprints, value tuples and
+inherited known-disabled bitmasks.  ``State`` objects are *not* part of a
+batch — kernels materialize them lazily, only when an action guard or an
+invariant actually needs attribute access (memo misses), or when a
+trace/violation has to be reported.  Successor fingerprints come from
+fingerprint deltas the kernel folds at memo-miss time, so a batch carries
+no per-slot digests.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Tuple
+from typing import Any, List, Tuple
 
 from repro.tla.state import Schema, State
 
@@ -25,59 +25,43 @@ class FrontierBatch:
     - ``fps``: 64-bit state fingerprints,
     - ``values``: raw ``State.values`` tuples,
     - ``knowns``: inherited known-disabled bitmasks (PR-5 ``affects``
-      propagation),
-    - ``digests``: per-slot fingerprint digest tuples.  Only the
-      *interpreted* fallback consumes this column; emitted kernels fold
-      digests into memoized fingerprint deltas at miss time and carry an
-      empty tuple here (see ``repro.tla.codegen``).
+      propagation).
     """
 
-    __slots__ = ("fps", "values", "knowns", "digests")
+    __slots__ = ("fps", "values", "knowns")
 
     def __init__(
         self,
         fps: List[int],
         values: List[Tuple[Any, ...]],
         knowns: List[int],
-        digests: List[Tuple[int, ...]],
     ):
         self.fps = fps
         self.values = values
         self.knowns = knowns
-        self.digests = digests
 
     @classmethod
     def from_entries(cls, entries) -> "FrontierBatch":
-        """Build a batch from ``(fp, payload, known, digests)`` frontier
-        entries, where ``payload`` is either a ``State`` or its raw values
-        tuple (round 0 carries initial ``State`` objects; later rounds ship
-        bare value tuples straight out of the kernels)."""
+        """Build a batch from ``(fp, payload, known)`` frontier entries,
+        where ``payload`` is either a ``State`` or its raw values tuple."""
         fps: List[int] = []
         values: List[Tuple[Any, ...]] = []
         knowns: List[int] = []
-        digests: List[Tuple[int, ...]] = []
-        for fp, payload, known, dg in entries:
+        for fp, payload, known in entries:
             fps.append(fp)
             values.append(payload.values if isinstance(payload, State) else payload)
             knowns.append(known)
-            digests.append(dg)
-        return cls(fps, values, knowns, digests)
+        return cls(fps, values, knowns)
 
     @classmethod
-    def single(
-        cls, fp: int, values: Tuple[Any, ...], known: int, digests: Tuple[int, ...]
-    ) -> "FrontierBatch":
+    def single(cls, fp: int, values: Tuple[Any, ...], known: int) -> "FrontierBatch":
         """A batch of one — DFS pops and random-walk steps reuse the batch
         kernels without building intermediate lists at every step."""
-        return cls([fp], [values], [known], [digests])
+        return cls([fp], [values], [known])
 
     def state(self, i: int, schema: Schema) -> State:
         """Materialize row ``i`` as a full ``State`` (trace reporting)."""
         return State(schema, self.values[i])
-
-    def entries(self) -> Iterator[Tuple[int, Tuple[Any, ...], int, Tuple[int, ...]]]:
-        """Iterate rows back out as ``(fp, values, known, digests)``."""
-        return zip(self.fps, self.values, self.knowns, self.digests)
 
     def __len__(self) -> int:
         return len(self.fps)

@@ -68,8 +68,8 @@ class Specification:
     """A complete checkable specification."""
 
     # Set lazily by repro.checker.engine: the shared default compiled
-    # core (kernels included) and the cached static-analyzer trust
-    # verdict for ``--compile auto``.
+    # core (kernel included) and the cached static-analyzer trust
+    # verdict that decides whether the kernel memoizes.
     _compiled_core: Any
     _kernel_trusted: Optional[bool]
 

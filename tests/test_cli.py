@@ -94,6 +94,13 @@ class TestCommands:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_check_rejects_compile_flag(self, capsys):
+        # The generated kernel is the only successor path; --compile is gone.
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "mSpec-3", "--compile", "off"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_conformance(self, capsys):
         code = main(
             ["conformance", "mSpec-3", "--traces", "10", "--steps", "15"]

@@ -17,9 +17,16 @@ from repro.checker import (
     shrink_trace,
     violation_predicate,
 )
-from repro.checker.engine import STRATEGIES, CompiledSpec, compiled_for
+from repro.checker.engine import (
+    STRATEGIES,
+    CompiledSpec,
+    compiled_for,
+    kernel_trusted,
+)
 from repro.checker.fingerprint import FingerprintError, canonical_bytes
+from repro.checker.legacy import LegacyBFSChecker
 from repro.tla.action import Action
+from repro.tla.batch import FrontierBatch
 from repro.tla.module import Module
 from repro.tla.spec import Invariant, Specification
 from repro.tla.state import Schema, State
@@ -298,7 +305,7 @@ class TestCompiledSpec:
         spec = counter_spec(y_bound=0)
         core = CompiledSpec(spec)
         bad = State.make(SCHEMA, x=1, y=1)
-        viols, masked, ok = core.classify(bad)
+        viols, masked, ok = core.classify_values(bad.values)
         assert viols and not masked and ok
 
 
@@ -384,7 +391,7 @@ def random_spec(seed):
         lambda cfg, s, _n=names, _b=bound: sum(s[v] for v in _n) <= _b,
         reads=frozenset(names) if rng.random() < 0.5 else frozenset(),
     )
-    return Specification(
+    spec = Specification(
         f"rand-{seed}",
         schema,
         lambda cfg: [init],
@@ -392,6 +399,11 @@ def random_spec(seed):
         [invariant],
         None,
     )
+    # Honest by construction, but the dynamic state subscripts defeat the
+    # static analyzer (D05).  Pre-seed its verdict so the engine memoizes
+    # and the fuzz exercises the memoized kernel, not the memo-free one.
+    spec._kernel_trusted = True
+    return spec
 
 
 class TestIncrementalProperties:
@@ -422,37 +434,34 @@ class TestIncrementalProperties:
                 state = nxt
 
     def test_expand_candidates_match_brute_force_on_random_walks(self):
-        # Walk each random spec through the incremental expand chain
+        # Walk each random spec through the memoized kernel chain
         # (inherited disabled bits, outcome memo warm across steps) and
-        # compare every candidate list against a fresh non-incremental
-        # core: same instances, same successor values, same
-        # fingerprints.
+        # compare every candidate list against the memo-free kernel:
+        # same instances, same successor values, same fingerprints.
         for seed in range(8):
             spec = random_spec(seed)
             core = CompiledSpec(spec)
             brute = CompiledSpec(spec, incremental=False)
+            assert core.memoized and not brute.memoized
             rng = random.Random(seed * 13 + 5)
-            state = spec.initial_states()[0]
-            fp, digests = core.fingerprinter.of_values_with_digests(state.values)
+            values = spec.initial_states()[0].values
+            fp = core.fingerprinter.of_values(values)
             known = 0
             for _ in range(30):
-                _, fast = core.expand(
-                    state, known, set(), fp, digests,
+                ((_, _, fast),) = core.expand_batch(
+                    FrontierBatch.single(fp, values, known), set(),
                     classify_candidates=False, dedupe=False,
                 )
-                _, slow = brute.expand(
-                    state, 0, set(), fp, digests,
+                ((_, _, slow),) = brute.expand_batch(
+                    FrontierBatch.single(fp, values, 0), set(),
                     classify_candidates=False, dedupe=False,
                 )
-                assert [
-                    (idx, nxt.values, cfp) for idx, nxt, cfp, *_ in fast
-                ] == [
-                    (idx, nxt.values, cfp) for idx, nxt, cfp, *_ in slow
-                ], f"seed {seed}"
+                assert [c[:3] for c in fast] == [c[:3] for c in slow], (
+                    f"seed {seed}"
+                )
                 if not fast:
                     break
-                idx, nxt, fp, known, _, _, _, digests = rng.choice(fast)
-                state = nxt
+                _, values, fp, known = rng.choice(fast)[:4]
 
     def test_random_specs_explore_identically_with_and_without_memo(self):
         for seed in range(10):
@@ -469,14 +478,14 @@ class TestIncrementalProperties:
             ]
 
     def test_random_specs_pass_debug_cross_checks(self):
-        # debug=True re-evaluates every memoized/inherited outcome; an
+        # debug=True re-evaluates every kernel batch from scratch; an
         # unsound memo hit raises AssertionError.
         for seed in range(6):
             ExplorationEngine(random_spec(seed), max_states=1_500, debug=True).run()
 
     def test_zookeeper_specs_pass_debug_cross_checks(self):
-        # The walkers and the campaign now ride the memoized expand
-        # path, so the real specs' reads/writes/update_sources
+        # The walkers and the campaign ride the memoized kernel, so the
+        # real specs' reads/writes/update_sources
         # declarations are load-bearing: sweep them under the debug
         # cross-check (this is what caught the NodeCrash and
         # FollowerSyncProcessorLogRequest undeclared update sources).
@@ -487,7 +496,8 @@ class TestIncrementalProperties:
         # The update reads y but declares neither reads nor sources for
         # it: two states sharing the closure projection {x} but
         # differing in y make the memoized outcome wrong, and debug mode
-        # must flag it.
+        # must flag it.  The analyzer sees the lie too (D01), so the
+        # verdict is pre-seeded to force memoization.
         def lying(config, state):
             if state.x >= 3:
                 return None
@@ -511,11 +521,12 @@ class TestIncrementalProperties:
             [Invariant("I-1", "true", lambda cfg, s: True)],
             None,
         )
+        spec._kernel_trusted = True
         with pytest.raises(AssertionError, match="Lying"):
             ExplorationEngine(spec, max_states=2_000, debug=True).run()
 
     def test_walker_matches_successors_enumeration(self):
-        # RandomWalker now steps through CompiledSpec.expand; a matching
+        # RandomWalker steps through CompiledSpec.step; a matching
         # seed must choose exactly the label sequence the
         # Specification.successors enumeration implies (the conformance
         # campaign's finding fingerprints depend on this).
@@ -545,10 +556,10 @@ class TestIncrementalProperties:
 
 
 class TestCompiledKernelLane:
-    """Differential fuzz: the compiled successor kernels must enumerate
-    bitwise-identically to the interpreted path -- same states, same
-    transitions, same violations -- on random honest specs and on the
-    real ZooKeeper specs."""
+    """Differential fuzz: the memoized kernel must enumerate bitwise-
+    identically to the memo-free kernel -- same states, same transitions,
+    same violations -- on random honest specs and on the real ZooKeeper
+    specs, and match the seed checker's state space at exhaustion."""
 
     @staticmethod
     def _sig(result):
@@ -562,51 +573,68 @@ class TestCompiledKernelLane:
         )
 
     def test_fuzzed_random_specs_identical(self):
+        exhausted = 0
         for seed in range(10):
             sigs = {}
-            for mode in ("on", "off"):
-                engine = ExplorationEngine(
-                    random_spec(seed), max_states=2_000, compile_mode=mode
-                )
-                sigs[mode] = self._sig(engine.run())
-            assert sigs["on"] == sigs["off"], f"seed {seed}"
+            for incremental in (True, False):
+                result = ExplorationEngine(
+                    random_spec(seed), max_states=2_000, incremental=incremental
+                ).run()
+                sigs[incremental] = self._sig(result)
+            assert sigs[True] == sigs[False], f"seed {seed}"
+            # The seed checker agrees on the whole space (every violation
+            # recorded, so neither side stops early).
+            full = ExplorationEngine(
+                random_spec(seed), max_states=2_000, stop_at_first=False
+            ).run()
+            seed_full = LegacyBFSChecker(
+                random_spec(seed), max_states=2_000, stop_at_first=False
+            ).run()
+            if full.completed:
+                exhausted += 1
+                assert seed_full.completed, f"seed {seed}"
+                assert self._sig(full) == self._sig(seed_full), f"seed {seed}"
+        assert exhausted >= 8
 
     @pytest.mark.parametrize("strategy", ["bfs", "dfs"])
     def test_zookeeper_compiled_identical(self, strategy):
         sigs = {}
-        for mode in ("on", "off"):
+        for incremental in (True, False):
             result = check_spec(
                 "mSpec-3",
                 SMALL,
                 strategy=strategy,
                 max_states=2_000,
                 max_time=60,
-                compile_mode=mode,
+                incremental=incremental,
             )
-            sigs[mode] = self._sig(result)
-        assert sigs["on"] == sigs["off"]
+            sigs[incremental] = self._sig(result)
+        assert sigs[True] == sigs[False]
 
     def test_zookeeper_kernel_passes_debug_cross_check(self):
-        # --debug-deps under a live kernel re-evaluates every batch
-        # against a fresh interpreted expansion.
+        # --debug-deps re-evaluates every kernel batch against fresh
+        # calls of every action.
         check_spec(
             "mSpec-3",
             SMALL,
             max_states=1_500,
             max_time=60,
-            compile_mode="on",
             debug=True,
         )
 
-    def test_untrusted_spec_falls_back_in_auto(self):
-        # SysSpec carries lint findings on trust-critical rules, so auto
-        # stays interpreted while forced compilation still emits.
+    def test_every_shipped_grain_is_kernel_trusted(self):
+        # Every ZooKeeper grain and both Raft grains declare their
+        # dependencies truthfully, so the default engine memoizes on all.
+        from repro.raft.config import RaftConfig
+        from repro.raft.spec import make_spec as raft_make_spec
         from repro.zookeeper.specs import SELECTIONS, build_spec
 
-        spec = build_spec("SysSpec", SELECTIONS["SysSpec"], SMALL)
-        assert compiled_for(spec, compile_mode="auto").kernel is None
-        spec2 = build_spec("SysSpec", SELECTIONS["SysSpec"], SMALL)
-        assert compiled_for(spec2, compile_mode="on").kernel is not None
+        for name in SELECTIONS:
+            spec = build_spec(name, SELECTIONS[name], SMALL)
+            assert kernel_trusted(spec), name
+            assert compiled_for(spec).memoized, name
+        for name in ("raft-coarse", "raft-fine"):
+            assert kernel_trusted(raft_make_spec(name, RaftConfig())), name
 
 
 class TestValuePickling:
